@@ -1047,13 +1047,25 @@ func (m *mapLoop) NextRawBatch(max int) ([]byte, int, error) {
 }
 
 // BenchmarkPipelineThroughput measures the streaming pipeline's
-// end-to-end packet rate (ingest → shard → sample → aggregate) by shard
-// count, with one benchmark op = one packet. The pipeline is fed
-// through the zero-copy raw path: an mmap'd trace cycled by mapLoop,
-// decoded inside the parallel ingest workers. The reader goroutine only
-// peeks timestamps; allocs/op near zero is the hot-path guarantee
-// (pinned exactly by TestMapReaderHotPathAllocs).
+// end-to-end packet rate (read → select → ingest → shard → aggregate)
+// by shard count, with one benchmark op = one packet, at the paper's
+// T3 granularity k=50. The pipeline is fed through the zero-copy raw
+// path: an mmap'd trace cycled by mapLoop. The reader selects from the
+// raw windows and the parallel ingest workers decode only the selected
+// records; allocs/op near zero is the hot-path guarantee (pinned
+// exactly by TestMapReaderHotPathAllocs).
 func BenchmarkPipelineThroughput(b *testing.B) {
+	benchPipelineThroughput(b, 50)
+}
+
+// BenchmarkPipelineThroughputK1 is BenchmarkPipelineThroughput at k=1,
+// the worst case for sample-then-fan-out: every packet is selected, so
+// every record is decoded, hashed and aggregated.
+func BenchmarkPipelineThroughputK1(b *testing.B) {
+	benchPipelineThroughput(b, 1)
+}
+
+func benchPipelineThroughput(b *testing.B, k int) {
 	tr := benchSmall(b)
 	path := writeBenchTrace(b, tr)
 	for _, shards := range []int{1, 2, 4} {
@@ -1064,7 +1076,7 @@ func BenchmarkPipelineThroughput(b *testing.B) {
 				// worker keeps up with up to two shards.
 				IngestWorkers: (shards + 1) / 2,
 				NewSampler: func(int) (online.Sampler, error) {
-					return online.NewSystematic(50, 0)
+					return online.NewSystematic(k, 0)
 				},
 				// Flows from the cycled trace never expire mid-run, so the
 				// flow table reaches steady state after the first lap.

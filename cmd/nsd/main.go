@@ -1,8 +1,9 @@
 // Command nsd is the streaming characterization daemon: the node-side
 // system of the paper's Section 2, built on internal/pipeline. It runs
-// one of the paper's sampling methods over a packet stream across N
-// worker shards, maintains windowed size/interarrival histograms, flow
-// accounting, and heavy-hitter sketches over the selected packets,
+// one of the paper's sampling methods over a packet stream at the
+// reader, fans only the selected packets out to N worker shards, and
+// maintains windowed size/interarrival histograms, flow accounting, and
+// heavy-hitter sketches over them,
 // scores each window against the reference population (φ and friends),
 // and exports the latest snapshot over the collect wire protocol so a
 // NOC can poll it (Collector.PollSnapshot).
@@ -23,11 +24,12 @@
 // any -shards/-ingest-workers combination at the same seed.
 //
 // The daemon is deterministic: all randomness comes from -seed, and
-// windowing runs on the virtual clock of the packet timestamps. With
-// one shard, the final snapshot's reports are bit-identical to the
-// batch evaluator in internal/core on the same trace and seed (pinned
-// by a tier-1 test); -ingest-workers parallelizes the hash/fan-out
-// stage without changing any output under the block policy.
+// windowing runs on the virtual clock of the packet timestamps. The
+// final snapshot's reports are bit-identical to the batch evaluator in
+// internal/core on the same trace and seed (pinned by a tier-1 test),
+// and every snapshot is identical at any -shards (pinned by another);
+// -ingest-workers parallelizes the hash/fan-out stage without changing
+// any output under the block policy.
 // SIGINT/SIGTERM drain the pipeline cleanly and the final snapshot is
 // printed before exit.
 //
@@ -88,7 +90,7 @@ func main() {
 		pps      = flag.Float64("pps", 424, "generated average packets per second (-gen)")
 		scenario = flag.String("scenario", "", "generate a preset anomaly scenario instead of steady-state traffic (-gen): "+strings.Join(traffgen.ScenarioNames(), ", "))
 		method   = flag.String("method", "systematic",
-			"sampling method: systematic, stratified, systematic-timer, stratified-timer")
+			"sampling method: "+strings.Join(online.Methods, ", "))
 		k             = flag.Int("k", 100, "sampling granularity (1 in k packets, or the timer equivalent)")
 		adaptive      = flag.Bool("adaptive", false, "closed-loop systematic sampling: steer k per window against -target and -drop-budget (requires -window > 0; -k is the starting granularity)")
 		minK          = flag.Int("min-k", 1, "adaptive: finest granularity the controller may choose")
@@ -318,9 +320,9 @@ func loadSource(in string, gen bool, scenario string, seconds int, pps float64, 
 	return tr, mr, mr.Close, nil
 }
 
-// buildConfig assembles the pipeline configuration: per-shard samplers
-// split off one seeded root RNG in shard order, and the reference
-// evaluators reuse the input trace as the known parent population.
+// buildConfig assembles the pipeline configuration: the one sampler the
+// reader runs, seeded from a child of the root RNG, and the reference
+// evaluators that reuse the input trace as the known parent population.
 func buildConfig(tr *trace.Trace, method string, k, shards int,
 	window time.Duration, seed uint64, queue, batch int, policy string,
 	topk int, flowTimeout time.Duration) (pipeline.Config, error) {
@@ -342,39 +344,23 @@ func buildConfig(tr *trace.Trace, method string, k, shards int,
 		return cfg, fmt.Errorf("unknown -policy %q (want block or drop)", policy)
 	}
 
-	root := dist.NewRNG(seed)
-	switch method {
-	case "systematic":
-		cfg.NewSampler = func(int) (online.Sampler, error) {
-			return online.NewSystematic(k, 0)
-		}
-	case "stratified":
-		rngs := splitRNGs(root, shards)
-		cfg.NewSampler = func(shard int) (online.Sampler, error) {
-			return online.NewStratified(k, rngs[shard])
-		}
-	case "systematic-timer":
-		period, err := core.PeriodForGranularity(tr, float64(k))
-		if err != nil {
+	var (
+		period int64
+		err    error
+	)
+	if online.IsTimer(method) {
+		if period, err = core.PeriodForGranularity(tr, float64(k)); err != nil {
 			return cfg, err
 		}
-		cfg.NewSampler = func(int) (online.Sampler, error) {
-			return online.NewSystematicTimer(period, 0)
-		}
-	case "stratified-timer":
-		period, err := core.PeriodForGranularity(tr, float64(k))
-		if err != nil {
-			return cfg, err
-		}
-		rngs := splitRNGs(root, shards)
-		cfg.NewSampler = func(shard int) (online.Sampler, error) {
-			return online.NewStratifiedTimer(period, rngs[shard])
-		}
-	default:
-		return cfg, fmt.Errorf("unknown -method %q", method)
 	}
+	// One sampler runs at the reader for every shard count; its RNG is
+	// the first child of the seeded root.
+	sampler, err := online.NewMethod(method, k, period, dist.NewRNG(seed).Split())
+	if err != nil {
+		return cfg, fmt.Errorf("-method: %w", err)
+	}
+	cfg.NewSampler = func(int) (online.Sampler, error) { return sampler, nil }
 
-	var err error
 	if cfg.SizeEval, err = core.NewEvaluator(tr, core.TargetSize, bins.PacketSize()); err != nil {
 		return cfg, fmt.Errorf("size evaluator: %w", err)
 	}
@@ -382,16 +368,6 @@ func buildConfig(tr *trace.Trace, method string, k, shards int,
 		return cfg, fmt.Errorf("interarrival evaluator: %w", err)
 	}
 	return cfg, nil
-}
-
-// splitRNGs derives one independent child RNG per shard, in shard
-// order, so runs are reproducible for any shard count.
-func splitRNGs(root *dist.RNG, shards int) []*dist.RNG {
-	out := make([]*dist.RNG, shards)
-	for i := range out {
-		out[i] = root.Split()
-	}
-	return out
 }
 
 // summarize renders one snapshot line for the operator.

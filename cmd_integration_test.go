@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -259,6 +260,37 @@ func TestNSDSnapshotMatchesBatch(t *testing.T) {
 	waited = true
 	if err := daemon.Wait(); err != nil {
 		t.Errorf("nsd exit after SIGTERM: %v", err)
+	}
+}
+
+// TestNSDShardInvariance pins that the statistical answer does not
+// depend on the shard count: the reader selects once, before the
+// fan-out, so nsd -gen -seconds 60 -k 50 reports the same final window
+// — offered, selected and flow counts, φ[size] and φ[iat] — at 1, 2
+// and 4 shards, for every sampling method.
+func TestNSDShardInvariance(t *testing.T) {
+	dir := buildTools(t, "nsd")
+	finalLine := func(method string, shards int) string {
+		out := run(t, filepath.Join(dir, "nsd"), "-gen", "-seconds", "60", "-k", "50",
+			"-method", method, "-shards", strconv.Itoa(shards), "-once", "-q")
+		for _, line := range strings.Split(out, "\n") {
+			if strings.HasPrefix(line, "window ") && strings.Contains(line, " final:") {
+				return line
+			}
+		}
+		t.Fatalf("nsd -method %s -shards %d printed no final window:\n%s", method, shards, out)
+		return ""
+	}
+	for _, method := range []string{"systematic", "stratified", "systematic-timer", "stratified-timer"} {
+		ref := finalLine(method, 1)
+		if !strings.Contains(ref, "phi[size]=") {
+			t.Fatalf("%s: final window is unscored: %s", method, ref)
+		}
+		for _, shards := range []int{2, 4} {
+			if got := finalLine(method, shards); got != ref {
+				t.Errorf("%s: -shards %d reports\n  %s\nwant (1 shard)\n  %s", method, shards, got, ref)
+			}
+		}
 	}
 }
 

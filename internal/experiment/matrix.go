@@ -103,23 +103,7 @@ func matrixCell(tr *trace.Trace, scenario, sampler string, seed uint64, dur time
 	if cfg.IatEval, err = core.NewEvaluator(tr, core.TargetInterarrival, bins.Interarrival()); err != nil {
 		return cell, err
 	}
-	rng := dist.NewRNG(cellSeed(seed, scenario, sampler))
-	switch sampler {
-	case "systematic":
-		cfg.NewSampler = func(int) (online.Sampler, error) { return online.NewSystematic(k, 0) }
-	case "stratified":
-		cfg.NewSampler = func(int) (online.Sampler, error) { return online.NewStratified(k, rng) }
-	case "systematic-timer", "stratified-timer":
-		period, perr := core.PeriodForGranularity(tr, float64(k))
-		if perr != nil {
-			return cell, perr
-		}
-		if sampler == "systematic-timer" {
-			cfg.NewSampler = func(int) (online.Sampler, error) { return online.NewSystematicTimer(period, 0) }
-		} else {
-			cfg.NewSampler = func(int) (online.Sampler, error) { return online.NewStratifiedTimer(period, rng) }
-		}
-	case "adaptive":
+	if sampler == "adaptive" {
 		minK := k / 8
 		if minK < 1 {
 			minK = 1
@@ -127,8 +111,18 @@ func matrixCell(tr *trace.Trace, scenario, sampler string, seed uint64, dur time
 		cfg.Adaptive = &pipeline.AdaptiveConfig{
 			MinK: minK, MaxK: 8 * k, StartK: k, TargetPhi: 0.25,
 		}
-	default:
-		return cell, fmt.Errorf("unknown sampler %q", sampler)
+	} else {
+		var period int64
+		if online.IsTimer(sampler) {
+			if period, err = core.PeriodForGranularity(tr, float64(k)); err != nil {
+				return cell, err
+			}
+		}
+		s, err := online.NewMethod(sampler, k, period, dist.NewRNG(cellSeed(seed, scenario, sampler)))
+		if err != nil {
+			return cell, err
+		}
+		cfg.NewSampler = func(int) (online.Sampler, error) { return s, nil }
 	}
 	p, err := pipeline.New(cfg)
 	if err != nil {

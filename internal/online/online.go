@@ -45,6 +45,7 @@ package online
 
 import (
 	"errors"
+	"fmt"
 
 	"netsample/internal/dist"
 	"netsample/internal/trace"
@@ -61,12 +62,53 @@ type Sampler interface {
 	Reset()
 }
 
+// Counted is implemented by the count-driven samplers, whose decisions
+// depend on arrival order alone. Skip consumes the offers up to and
+// including the next selected packet — leaving the sampler exactly as
+// that run of Offer calls would — and returns how many unselected
+// packets precede the selection. A reader can therefore jump from one
+// selected index to the next without offering the packets between.
+type Counted interface {
+	Sampler
+	Skip() int
+}
+
 // Errors returned by constructors.
 var (
 	ErrBadGranularity = errors.New("online: granularity must be >= 1")
 	ErrBadPeriod      = errors.New("online: timer period must be positive")
 	ErrBadCapacity    = errors.New("online: reservoir capacity must be >= 1")
+	ErrUnknownMethod  = errors.New("online: unknown sampling method")
 )
+
+// Methods lists the method names NewMethod accepts: the paper's four
+// per-packet sampling methods.
+var Methods = []string{"systematic", "stratified", "systematic-timer", "stratified-timer"}
+
+// IsTimer reports whether the named method is timer-driven, i.e. takes
+// a period rather than a packet count.
+func IsTimer(method string) bool {
+	return method == "systematic-timer" || method == "stratified-timer"
+}
+
+// NewMethod builds the named method's streaming sampler: systematic and
+// stratified select 1 in k packets, the timer forms fire once per
+// periodUS (callers usually derive it from k with
+// core.PeriodForGranularity). The random methods draw from rng, which
+// the sampler then owns.
+func NewMethod(method string, k int, periodUS int64, rng *dist.RNG) (Sampler, error) {
+	switch method {
+	case "systematic":
+		return NewSystematic(k, 0)
+	case "stratified":
+		return NewStratified(k, rng)
+	case "systematic-timer":
+		return NewSystematicTimer(periodUS, 0)
+	case "stratified-timer":
+		return NewStratifiedTimer(periodUS, rng)
+	}
+	return nil, fmt.Errorf("%w %q", ErrUnknownMethod, method)
+}
 
 // Systematic selects every k-th packet: the T3 firmware rule. With
 // offset o, the first selected packet is the (o+1)-th to arrive, then
@@ -136,6 +178,16 @@ func (s *Systematic) Offer(int64) bool {
 	return sel
 }
 
+// Skip implements Counted.
+func (s *Systematic) Skip() int {
+	n := 0
+	if s.counter != 0 {
+		n = s.k - s.counter
+	}
+	s.counter = 1 % s.k
+	return n
+}
+
 // Reset implements Sampler.
 func (s *Systematic) Reset() {
 	// First selection after offset packets have passed. The offset is
@@ -182,6 +234,26 @@ func (s *Stratified) Offer(int64) bool {
 		s.target = s.rng.IntN(s.k)
 	}
 	return sel
+}
+
+// Skip implements Counted. The bucket draws happen in the same order as
+// under Offer, each one as soon as the previous bucket is known to be
+// spent.
+func (s *Stratified) Skip() int {
+	n := 0
+	if s.pos > s.target {
+		// This bucket has already fired: pass its remainder.
+		n = s.k - s.pos
+		s.pos = 0
+		s.target = s.rng.IntN(s.k)
+	}
+	n += s.target - s.pos
+	s.pos = s.target + 1
+	if s.pos == s.k {
+		s.pos = 0
+		s.target = s.rng.IntN(s.k)
+	}
+	return n
 }
 
 // Reset implements Sampler.

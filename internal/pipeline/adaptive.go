@@ -27,9 +27,10 @@ type AdaptiveConfig struct {
 	// (2φ <= TargetPhi) with no drops coarsens (doubles k), trading
 	// fidelity headroom for less per-packet work.
 	TargetPhi float64
-	// DropBudget is the tolerated overload drop fraction per window;
-	// a window exceeding it coarsens regardless of φ. Zero means any
-	// drop triggers coarsening.
+	// DropBudget is the tolerated overload drop fraction per window —
+	// the share of the reader's selection shed at the fan-out,
+	// Dropped/(Selected+Dropped); a window exceeding it coarsens
+	// regardless of φ. Zero means any drop triggers coarsening.
 	DropBudget float64
 }
 
@@ -57,7 +58,10 @@ type AdaptiveDecision struct {
 	// PrevK is the granularity in force during that window; K is the
 	// granularity chosen for the next.
 	PrevK, K int
-	// DropRate is the window's overload loss fraction (Dropped/Offered).
+	// DropRate is the window's overload loss fraction: the share of the
+	// reader's selection shed at the fan-out, Dropped/(Selected+Dropped).
+	// Only selected packets cross the fan-out, so this is the share of
+	// the sample lost, whatever k is.
 	DropRate float64
 	// Phi is the worst configured report φ of the window, or -1 when
 	// the window was unscored (no evaluators, or nothing selected).
@@ -67,14 +71,15 @@ type AdaptiveDecision struct {
 // decide is the control law: a pure function of the previous k and the
 // merged window snapshot, so the decision sequence is reproducible from
 // the seed and trace alone. Coarsening halves the selected load when
-// the pipeline drops beyond budget; refinement halves k when fidelity
+// the pipeline drops more than DropBudget of the window's selection; refinement halves k when fidelity
 // (φ against the reference population) misses the target; comfortable
 // windows — φ at most half the budget and zero drops — coarsen to shed
 // work. All moves clamp to [MinK, MaxK].
 func (a *AdaptiveConfig) decide(prevK int, snap *Snapshot) AdaptiveDecision {
 	var dropRate float64
-	if snap.Offered > 0 {
-		dropRate = float64(snap.Dropped) / float64(snap.Offered)
+	picked := snap.Selected + snap.Dropped // the reader's selection
+	if picked > 0 {
+		dropRate = float64(snap.Dropped) / float64(picked)
 	}
 	phi := -1.0
 	if snap.SizeReport != nil {
@@ -85,7 +90,7 @@ func (a *AdaptiveConfig) decide(prevK int, snap *Snapshot) AdaptiveDecision {
 	}
 	k := prevK
 	switch {
-	case snap.Offered > 0 && float64(snap.Dropped) > a.DropBudget*float64(snap.Offered):
+	case snap.Dropped > 0 && float64(snap.Dropped) > a.DropBudget*float64(picked):
 		k *= 2
 	case phi >= 0 && phi > a.TargetPhi:
 		k /= 2

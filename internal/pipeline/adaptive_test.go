@@ -72,9 +72,16 @@ func TestAdaptiveDecide(t *testing.T) {
 		wantK int
 	}{
 		{"drops over budget coarsen", 8,
-			Snapshot{Offered: 100, Dropped: 20, SizeReport: rep(0.01)}, 16},
+			Snapshot{Offered: 100, Selected: 80, Dropped: 20, SizeReport: rep(0.01)}, 16},
 		{"drops within budget do not coarsen", 8,
-			Snapshot{Offered: 100, Dropped: 5, SizeReport: rep(0.15)}, 8},
+			Snapshot{Offered: 100, Selected: 95, Dropped: 5, SizeReport: rep(0.15)}, 8},
+		// The budget is a share of the selection, not of the stream: 20
+		// of 100 selected packets shed is 0.2 > 0.1 however many
+		// packets went unselected (20/800 of the stream would pass).
+		{"budget is against the selection", 8,
+			Snapshot{Offered: 800, Selected: 80, Dropped: 20, SizeReport: rep(0.01)}, 16},
+		{"budget boundary holds", 8,
+			Snapshot{Offered: 800, Selected: 90, Dropped: 10, SizeReport: rep(0.15)}, 8},
 		{"phi over target refines", 8,
 			Snapshot{Offered: 100, SizeReport: rep(0.5)}, 4},
 		{"worst report governs", 8,
@@ -82,19 +89,23 @@ func TestAdaptiveDecide(t *testing.T) {
 		{"comfortable phi coarsens", 8,
 			Snapshot{Offered: 100, SizeReport: rep(0.05)}, 16},
 		{"comfortable phi with drops holds", 8,
-			Snapshot{Offered: 100, Dropped: 1, SizeReport: rep(0.05)}, 8},
+			Snapshot{Offered: 100, Selected: 99, Dropped: 1, SizeReport: rep(0.05)}, 8},
 		{"middling phi holds", 8,
 			Snapshot{Offered: 100, SizeReport: rep(0.15)}, 8},
 		{"unscored window holds", 8, Snapshot{Offered: 100}, 8},
 		{"refine clamps at MinK", 2,
 			Snapshot{Offered: 100, SizeReport: rep(0.5)}, 2},
 		{"coarsen clamps at MaxK", 64,
-			Snapshot{Offered: 100, Dropped: 50}, 64},
+			Snapshot{Offered: 100, Selected: 50, Dropped: 50}, 64},
 	}
 	for _, tc := range cases {
 		d := a.decide(tc.prevK, &tc.snap)
 		if d.K != tc.wantK {
 			t.Errorf("%s: decide(k=%d) = %d, want %d", tc.name, tc.prevK, d.K, tc.wantK)
+		}
+		if picked := tc.snap.Selected + tc.snap.Dropped; picked > 0 &&
+			d.DropRate != float64(tc.snap.Dropped)/float64(picked) { //nslint:allow floateq the same division decide performs
+			t.Errorf("%s: DropRate = %v, want Dropped/(Selected+Dropped)", tc.name, d.DropRate)
 		}
 		if d.PrevK != tc.prevK {
 			t.Errorf("%s: PrevK = %d, want %d", tc.name, d.PrevK, tc.prevK)
@@ -102,7 +113,7 @@ func TestAdaptiveDecide(t *testing.T) {
 	}
 	// Zero drop budget: any drop coarsens.
 	strict := &AdaptiveConfig{MinK: 1, MaxK: 64, StartK: 8, TargetPhi: 0.2}
-	if d := strict.decide(8, &Snapshot{Offered: 100, Dropped: 1}); d.K != 16 {
+	if d := strict.decide(8, &Snapshot{Offered: 100, Selected: 99, Dropped: 1}); d.K != 16 {
 		t.Errorf("zero budget with one drop: k = %d, want 16", d.K)
 	}
 }

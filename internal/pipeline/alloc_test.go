@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"netsample/internal/dist"
 	"netsample/internal/online"
 	"netsample/internal/packet"
 	"netsample/internal/trace"
@@ -35,38 +36,57 @@ func (c *cycleSource) Next() (trace.Packet, error) {
 }
 
 // TestPipelineHotPathAllocs pins the 0-steady-state-allocs/packet claim
-// of the ingest→shard→sample hot path: a long run's total heap
-// allocation count, measured end to end, stays bounded by the fixed
-// startup cost (queues, flow entries, goroutines, final snapshot) —
-// far below one allocation per hundred packets.
+// of the read→select→ingest→shard hot path, for every sampling method:
+// a long run's total heap allocation count, measured end to end, stays
+// bounded by the fixed startup cost (queues, flow entries, goroutines,
+// per-window barriers and snapshots) — far below one allocation per
+// hundred packets.
 func TestPipelineHotPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed under -race")
 	}
 	const n = 200_000
-	p, err := New(Config{
-		Shards:        1,
-		NewSampler:    func(int) (online.Sampler, error) { return online.NewSystematic(10, 0) },
-		FlowTimeoutUS: 1 << 60, // flows never expire: no per-packet flow churn
-	})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	src := &cycleSource{n: n}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	if err := p.Run(src); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	runtime.ReadMemStats(&after)
-	allocs := after.Mallocs - before.Mallocs
-	if allocs > n/100 {
-		t.Errorf("pipeline run of %d packets made %d allocations (> %d): hot path is allocating",
-			n, allocs, n/100)
-	}
-	snap, ok := p.Latest()
-	if !ok || snap.Processed != n {
-		t.Fatalf("run did not process all packets: %+v", snap)
+	for _, method := range append(append([]string(nil), online.Methods...), "adaptive") {
+		t.Run(method, func(t *testing.T) {
+			cfg := Config{
+				Shards:        1,
+				FlowTimeoutUS: 1 << 60, // flows never expire: no per-packet flow churn
+				WindowUS:      10_000_000,
+			}
+			if method == "adaptive" {
+				cfg.Adaptive = &AdaptiveConfig{MinK: 1, MaxK: 64, StartK: 10, TargetPhi: 0.25}
+			} else {
+				s, err := online.NewMethod(method, 10, 5_000, dist.NewRNG(1))
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.NewSampler = func(int) (online.Sampler, error) { return s, nil }
+			}
+			p, err := New(cfg)
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			src := &cycleSource{n: n}
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			if err := p.Run(src); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			runtime.ReadMemStats(&after)
+			allocs := after.Mallocs - before.Mallocs
+			if allocs > n/100 {
+				t.Errorf("pipeline run of %d packets made %d allocations (> %d): hot path is allocating",
+					n, allocs, n/100)
+			}
+			var processed, selected uint64
+			for _, snap := range p.Snapshots() {
+				processed += snap.Processed
+				selected += snap.Selected
+			}
+			if processed != n || selected == 0 {
+				t.Fatalf("run processed %d of %d packets, selected %d", processed, n, selected)
+			}
+		})
 	}
 }

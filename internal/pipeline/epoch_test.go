@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"fmt"
 	"io"
 	"sync"
 	"testing"
@@ -103,6 +104,12 @@ func (s *monoSource) Next() (trace.Packet, error) {
 // barrier fragment and one exit sentinel each). Under the old
 // per-unit marker broadcast every unit pushed into all 8 rings; any
 // regression toward that shows up as extra pushes here.
+//
+// At k = 1 every packet is selected, so the units are exactly the
+// npkts/batch reader batches. At k = 10 the reader forwards only the
+// sample: a unit closes once it holds batch selected packets, so the
+// hot shard sees one push per unit of the selection, ⌈(npkts/10)/batch⌉
+// in all, and never a push for packets that were not selected.
 func TestEpochPublishBound(t *testing.T) {
 	const (
 		npkts   = 1000
@@ -110,57 +117,66 @@ func TestEpochPublishBound(t *testing.T) {
 		workers = 2
 		shards  = 4
 	)
-	p, err := New(Config{
-		Shards:        shards,
-		IngestWorkers: workers,
-		BatchSize:     batch,
-		NewSampler: func(int) (online.Sampler, error) {
-			return online.NewSystematic(10, 0)
-		},
-	})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if err := p.Run(&monoSource{n: npkts}); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	for _, tc := range []struct {
+		k     int
+		units int // units holding at least one selected packet
+	}{
+		{k: 1, units: npkts / batch}, // batch divides npkts evenly
+		{k: 10, units: (npkts/10 + batch - 1) / batch},
+	} {
+		t.Run(fmt.Sprintf("k=%d", tc.k), func(t *testing.T) {
+			p, err := New(Config{
+				Shards:        shards,
+				IngestWorkers: workers,
+				BatchSize:     batch,
+				NewSampler: func(int) (online.Sampler, error) {
+					return online.NewSystematic(tc.k, 0)
+				},
+			})
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			if err := p.Run(&monoSource{n: npkts}); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
 
-	pkt := monoPacket(0)
-	hot := shardIndex(&pkt, shards)
-	units := npkts / batch // batch divides npkts evenly
-	var dataPushes, stores uint64
-	for w, ig := range p.ingest {
-		stores += ig.epoch.stores
-		for s := range ig.out {
-			pushes := ig.out[s].pushes
-			if s == hot {
-				dataPushes += pushes - 1 // minus the barrier fragment
-				continue
+			pkt := monoPacket(0)
+			hot := shardIndex(&pkt, shards)
+			var dataPushes, stores uint64
+			for w, ig := range p.ingest {
+				stores += ig.epoch.stores
+				for s := range ig.out {
+					pushes := ig.out[s].pushes
+					if s == hot {
+						dataPushes += pushes - 1 // minus the barrier fragment
+						continue
+					}
+					if pushes != 1 {
+						t.Errorf("worker %d -> shard %d: %d pushes, want exactly 1 (the final barrier fragment)",
+							w, s, pushes)
+					}
+				}
 			}
-			if pushes != 1 {
-				t.Errorf("worker %d -> shard %d: %d pushes, want exactly 1 (the final barrier fragment)",
-					w, s, pushes)
+			if dataPushes != uint64(tc.units) {
+				t.Errorf("data pushes to hot shard = %d, want %d (one per unit)", dataPushes, tc.units)
 			}
-		}
-	}
-	if dataPushes != uint64(units) {
-		t.Errorf("data pushes to hot shard = %d, want %d (one per unit)", dataPushes, units)
-	}
-	// One store per data unit, one per barrier fragment (workers of
-	// them), one exit sentinel per worker.
-	wantStores := uint64(units + workers + workers)
-	if stores != wantStores {
-		t.Errorf("epoch stores = %d, want %d (units + barrier frags + sentinels)", stores, wantStores)
-	}
-	// The headline bound: total progress publishes for the whole run
-	// are O(units + workers), nowhere near the units×shards of the old
-	// marker broadcast.
-	if limit := uint64(units + 2*workers); stores > limit {
-		t.Errorf("progress publishes %d exceed O(workers) bound %d", stores, limit)
-	}
-	snap, ok := p.Latest()
-	if !ok || snap.Processed != npkts {
-		t.Fatalf("snapshot processed = %v, want %d", snap, npkts)
+			// One store per data unit, one per barrier fragment (workers of
+			// them), one exit sentinel per worker.
+			wantStores := uint64(tc.units + workers + workers)
+			if stores != wantStores {
+				t.Errorf("epoch stores = %d, want %d (units + barrier frags + sentinels)", stores, wantStores)
+			}
+			// The headline bound: total progress publishes for the whole run
+			// are O(units + workers), nowhere near the units×shards of the
+			// old marker broadcast.
+			if limit := uint64(tc.units + 2*workers); stores > limit {
+				t.Errorf("progress publishes %d exceed O(workers) bound %d", stores, limit)
+			}
+			snap, ok := p.Latest()
+			if !ok || snap.Processed != npkts || snap.Selected != uint64(npkts/tc.k) {
+				t.Fatalf("snapshot = %+v, want %d processed, %d selected", snap, npkts, npkts/tc.k)
+			}
+		})
 	}
 }
 

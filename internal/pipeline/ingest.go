@@ -22,9 +22,10 @@ type BatchSource interface {
 // RawBatchSource is the zero-copy form of BatchSource: instead of
 // filling a caller buffer with decoded packets, it hands out windows of
 // raw NSTR record bytes (length a multiple of trace.RecordLen) for up
-// to max records, plus the record count. Decoding then happens inside
-// the parallel ingest workers — fused with shard hashing and gap
-// stamping in one DecodeBatch pass — rather than on the sequential
+// to max records, plus the record count. The reader selects from a
+// window by timestamp and index alone; decoding the selected records
+// then happens inside the parallel ingest workers — fused with shard
+// hashing and gap stamping in one pass — rather than on the sequential
 // reader goroutine.
 //
 // Contract: records in a window are consecutive stream records;
@@ -74,39 +75,35 @@ func (a *batchAdapter) NextBatch(dst []trace.Packet) (int, error) {
 	return n, nil
 }
 
-// unitBuf is one reader-owned batch buffer: packets plus their
-// precomputed interarrival gaps, recycled through a per-ingest-worker
-// free ring. pkts and gaps are full-length (BatchSize); srcUnit.n says
-// how much is valid.
+// unitBuf is one reader-owned unit buffer, recycled through a
+// per-ingest-worker free ring. A decoded unit fills pkts and gaps with
+// its selected packets and their full-stream interarrival gaps; a raw
+// unit fills offs with the offsets of its selected records within the
+// unit's record window. All three are BatchSize long (offs by
+// capacity); srcUnit.n says how much is valid.
 type unitBuf struct {
 	pkts []trace.Packet
 	gaps []int64
-	// noGap0 marks the unit whose first packet is the stream's first —
-	// the only packet with no interarrival observation.
+	offs []uint32
+	// noGap0 marks the unit whose first packet (decoded) or first
+	// record (raw) is the stream's first — the only packet with no
+	// interarrival observation.
 	noGap0 bool
 }
 
 // srcUnit is one sequence-numbered element of the reader→ingest stream:
-// a decoded data batch (buf, n), a raw record window (raw, n, prevUS),
-// or a window-barrier fragment (bar). The sequence numbers are dense
+// a decoded data batch (buf, n), a raw record window with its selected
+// offsets (raw, buf, prevUS), or a window-barrier fragment (bar). Data
+// units carry only selected packets. The sequence numbers are dense
 // and global — unit q goes to ingest worker q mod N, and a barrier
 // consumes exactly N consecutive numbers (one fragment per worker) — so
 // the round-robin phase is position-invariant and every shard can
 // reconstruct global stream order from its rings.
 //
-// Raw units carry no unitBuf: the window aliases the source's mapped
-// region (stable until Run returns, per RawBatchSource), so the only
-// backpressure bound they need is the in ring itself. prevUS is the
-// timestamp of the stream packet preceding the window's first record,
-// which lets the worker compute interarrival gaps locally; noGap0 marks
-// the unit opening the stream, whose first packet has no predecessor.
-// In adaptive mode every data unit also carries its selection-regime
-// stamp: selK is the granularity in force for the whole unit (units
-// never span a barrier, and k only changes at barriers) and selIdx is
-// the global index of the unit's first packet within the regime. A
-// worker derives packet i's selection as (selIdx+i) % selK == 0 — the
-// reader's systematic schedule reproduced without any shared counter,
-// identical for any worker count. selK == 0 means fixed-sampler mode.
+// A raw window aliases the source's mapped region (stable until Run
+// returns, per RawBatchSource). prevUS is the timestamp of the stream
+// record preceding the window's first record, which lets the worker
+// compute every selected record's gap locally.
 type srcUnit struct {
 	seq uint64
 	buf *unitBuf
@@ -115,10 +112,6 @@ type srcUnit struct {
 
 	raw    []byte
 	prevUS int64
-	noGap0 bool
-
-	selIdx uint64
-	selK   int
 }
 
 // ingestState is one parallel ingest worker: it consumes its share of
@@ -159,6 +152,7 @@ func newIngestState(id int, cfg *Config) *ingestState {
 		ig.freeUnits.tryPush(&unitBuf{
 			pkts: make([]trace.Packet, cfg.BatchSize),
 			gaps: make([]int64, cfg.BatchSize),
+			offs: make([]uint32, 0, cfg.BatchSize),
 		})
 	}
 	for s := range ig.out {
@@ -174,27 +168,26 @@ func newIngestState(id int, cfg *Config) *ingestState {
 	return ig
 }
 
-// partitionRaw is DecodeBatch fused with the partition stage: one pass
-// over a raw record window that decodes each packet from three 8-byte
+// partitionRaw is DecodeBatch fused with the partition stage and
+// restricted to a raw unit's selected records: one pass over the
+// unit's offset list that decodes each listed record from three 8-byte
 // words, derives its shard from the same registers (bit-identical to
 // shardIndex — the hash words re-pack the record's bytes 12-23 and 10,
-// see DecodeBatch for the layout), stamps its interarrival gap, and
-// appends the finished item straight into the per-shard batch. The
-// two-pass form (DecodeBatch into worker scratch, then partition)
-// writes and re-reads every packet once more; fusing keeps the record
-// in registers between decode and item store. Equivalence with the
-// decoded path is pinned end to end by the source-equivalence and
-// raw-determinism pipeline tests.
+// see DecodeBatch for the layout), stamps its interarrival gap against
+// the preceding stream record (read from the window, or prevUS for the
+// window's first record), and appends the finished item straight into
+// the per-shard batch. Unselected records are never decoded.
+// Equivalence with DecodeBatch over every record, filtered by the batch
+// sampler, is pinned by FuzzSelectRaw.
 //
 //nslint:hotpath
 func (ig *ingestState) partitionRaw(u srcUnit) {
 	nshards := uint32(len(ig.out))
-	prev := u.prevUS
 	raw := u.raw
-	n := len(raw) / trace.RecordLen
-	selK := uint64(u.selK)
-	for i := 0; i < n; i++ {
-		rec := raw[i*trace.RecordLen : i*trace.RecordLen+trace.RecordLen]
+	noGap0 := u.buf.noGap0
+	for _, off := range u.buf.offs {
+		o := int(off) * trace.RecordLen
+		rec := raw[o : o+trace.RecordLen]
 		w0 := binary.LittleEndian.Uint64(rec[0:8])
 		w1 := binary.LittleEndian.Uint64(rec[8:16])
 		w2 := binary.LittleEndian.Uint64(rec[16:24])
@@ -203,6 +196,10 @@ func (ig *ingestState) partitionRaw(u srcUnit) {
 			s = tupleHash(w1>>32|w2<<32, w2>>32|uint64(uint8(w1>>16))<<32) % nshards
 		}
 		t := int64(w0)
+		prev := u.prevUS
+		if off > 0 {
+			prev = int64(binary.LittleEndian.Uint64(raw[o-trace.RecordLen:]))
+		}
 		//nslint:allow hotalloc append into a cap-pinned recycled buffer: a unit holds at most BatchSize packets and every item buffer is made with that capacity, so this never grows
 		ig.cur[s] = append(ig.cur[s], item{
 			pkt: trace.Packet{
@@ -216,10 +213,8 @@ func (ig *ingestState) partitionRaw(u srcUnit) {
 				DstPort:  uint16(w2 >> 48),
 			},
 			gapUS:  t - prev,
-			hasGap: i > 0 || !u.noGap0,
-			sel:    selK != 0 && (u.selIdx+uint64(i))%selK == 0,
+			hasGap: off > 0 || !noGap0,
 		})
-		prev = t
 	}
 }
 
@@ -301,8 +296,9 @@ func tupleHash(w1, w2 uint64) uint32 {
 	return uint32(h)
 }
 
-// ingestWorker drains one worker's unit ring: data units are hashed
-// and partitioned into per-shard item batches, barrier fragments are
+// ingestWorker drains one worker's unit ring: data units — selected
+// packets only — are hashed and partitioned into per-shard item
+// batches, barrier fragments are
 // forwarded to every shard. A unit pushes a message ONLY to the rings
 // of shards that actually receive packets from it; progress for
 // everyone else is the single epoch store that follows the unit's
@@ -331,25 +327,21 @@ func (p *Pipeline) ingestWorker(ig *ingestState) {
 			ig.epoch.advance(u.seq + 1)
 			continue
 		}
-		if u.raw != nil {
-			// Raw unit: decode + hash + gap-stamp + partition in one
-			// register-resident pass over the window. The window aliases
-			// the source's region, so there is no unit buffer to recycle.
-			ig.partitionRaw(u)
-			ig.publish(u.seq, block)
-			continue
-		}
 		buf := u.buf
-		selK := uint64(u.selK)
-		for i := 0; i < u.n; i++ {
-			s := shardIndex(&buf.pkts[i], len(ig.out))
-			//nslint:allow hotalloc append into a cap-pinned recycled buffer: a unit holds at most BatchSize packets and every item buffer is made with that capacity, so this never grows
-			ig.cur[s] = append(ig.cur[s], item{
-				pkt:    buf.pkts[i],
-				gapUS:  buf.gaps[i],
-				hasGap: !(buf.noGap0 && i == 0),
-				sel:    selK != 0 && (u.selIdx+uint64(i))%selK == 0,
-			})
+		if u.raw != nil {
+			// Raw unit: decode + hash + gap-stamp + partition the selected
+			// records in one register-resident pass.
+			ig.partitionRaw(u)
+		} else {
+			for i := 0; i < u.n; i++ {
+				s := shardIndex(&buf.pkts[i], len(ig.out))
+				//nslint:allow hotalloc append into a cap-pinned recycled buffer: a unit holds at most BatchSize packets and every item buffer is made with that capacity, so this never grows
+				ig.cur[s] = append(ig.cur[s], item{
+					pkt:    buf.pkts[i],
+					gapUS:  buf.gaps[i],
+					hasGap: !(buf.noGap0 && i == 0),
+				})
+			}
 		}
 		ig.publish(u.seq, block)
 		ig.freeUnits.push(buf)

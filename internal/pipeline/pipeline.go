@@ -2,14 +2,14 @@
 // operational system of the paper's Section 2: a node that continuously
 // samples its forwarding path and answers NOC queries. It is the
 // production-shaped counterpart of the batch machinery in internal/core
-// — ingest → shard → sample → aggregate → export over live packet
+// — sample → ingest → shard → aggregate → export over live packet
 // streams, with bounded queues, an explicit overload policy, and
 // windowed snapshots a collector can poll.
 //
 // Architecture (DESIGN.md §10):
 //
 //	            reader (Run goroutine)
-//	               │  batches + gap stamps + window barriers,
+//	               │  selected packets + gap stamps + window barriers,
 //	               │  sequence-numbered, round-robin
 //	    ┌──────────┴──────────┐        per-worker SPSC ring
 //	ingest worker 0 … ingest worker N-1    (5-tuple hashing)
@@ -19,33 +19,39 @@
 //	    └───── collector ──────┘       merge / score / publish
 //
 // The reader runs on the goroutine that calls Run: it pulls packet
-// batches from any Source (preferring the amortized BatchSource form —
-// an NSTR stream reader, an in-memory trace replay, a generated
-// workload), stamps each packet with its interarrival gap against its
-// stream predecessor (the quantity a monitor with a last-packet
-// timestamp register observes), and hands sequence-numbered batch
-// units round-robin to N ingest workers. Each ingest worker hashes its
-// units' packets to shards by a deterministic FNV-1a of the 5-tuple —
-// so every flow lives on exactly one shard — and publishes per-shard
+// batches from any Source (preferring the zero-copy RawBatchSource and
+// the amortized BatchSource forms — an mmap'd NSTR file, an NSTR stream
+// reader, an in-memory trace replay, a generated workload), runs the
+// pipeline's one online.Sampler over the whole stream, stamps each
+// selected packet with its interarrival gap against its stream
+// predecessor (the quantity a monitor with a last-packet timestamp
+// register observes), and hands sequence-numbered units of selected
+// packets round-robin to N ingest workers — the paper's T3 posture of
+// sampling in the forwarding path and categorizing only the sample.
+// Each ingest worker hashes its units' packets to shards by a
+// deterministic hash of the 5-tuple — so every flow lives on exactly
+// one shard — and publishes per-shard
 // item batches into lock-free single-producer/single-consumer rings,
 // one per (worker, shard) pair. A shard worker consumes its N rings in
 // global sequence order, so the packets of one shard are processed in
 // exact stream order regardless of how many ingest workers raced to
-// hash them: with the Block policy the pipeline is deterministic for
-// any worker count, and a single-shard run is bit-identical to the
-// batch evaluator (TestSingleShardSnapshotMatchesBatch).
+// hash them: with the Block policy the pipeline is deterministic, and
+// because selection precedes the fan-out its snapshots are
+// bit-identical to the batch evaluator for any shard and worker count
+// (TestSingleShardSnapshotMatchesBatch).
 //
 // All queues are bounded; when a shard falls behind, the configured
 // OverloadPolicy either blocks the fan-out (lossless backpressure all
-// the way to the reader) or counts-and-drops the overflowing batch —
-// drop deltas ride the next message on the same ring, so the per-window
-// accounting invariant Offered == Processed + Dropped is exact and
-// drops are surfaced per shard in every Snapshot, never silent.
+// the way to the reader) or counts-and-drops the overflowing batch of
+// selected packets — drop deltas ride the next message on the same
+// ring, so the per-window accounting invariants Offered == Processed +
+// Dropped and Selected + Dropped == the reader's selection are exact
+// and drops are surfaced per shard in every Snapshot, never silent.
 //
-// Each shard runs a configurable online.Sampler plus incremental
-// aggregates over the selected packets: per-bin size and interarrival
-// histogram counts (bins.Scheme), a flows.Table of transport flows, and
-// an nnstat.TopK heavy-hitter sketch. Windowing is driven by a virtual
+// Each shard maintains incremental aggregates over the selected
+// packets it receives: per-bin size and interarrival histogram counts
+// (bins.Scheme), a flows.Table of transport flows, and an nnstat.TopK
+// heavy-hitter sketch. Windowing is driven by a virtual
 // clock — the packet timestamps themselves — so a run is bit-for-bit
 // reproducible regardless of wall-clock speed or scheduling: the reader
 // emits a window barrier as one marker unit per ingest worker (N
@@ -60,10 +66,10 @@
 // each barrier into one Snapshot and, when reference Evaluators are
 // configured, scores the merged histogram counts against the reference
 // population with core.Evaluator.ScoreCounts — the same fused φ kernel
-// the batch experiments use, so a single-shard pipeline's snapshot is
-// bit-identical to the batch evaluator on the same trace and seed
-// (pinned by TestSingleShardSnapshotMatchesBatch and the cmd/nsd
-// integration test).
+// the batch experiments use, so a snapshot is bit-identical to the
+// batch evaluator on the same trace and seed (pinned by
+// TestSingleShardSnapshotMatchesBatch and the cmd/nsd integration
+// tests).
 package pipeline
 
 import (
@@ -71,6 +77,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -136,24 +143,29 @@ type Config struct {
 	// QueueDepth bounds each ring of the fan-out DAG, in batches
 	// (DefaultQueueDepth if zero).
 	QueueDepth int
-	// BatchSize is the reader's batch size in packets
-	// (DefaultBatchSize if zero). Larger batches amortize source calls
-	// and ring operations; 1 disables batching.
+	// BatchSize is the number of selected packets per unit — the batch
+	// the reader hands an ingest worker (DefaultBatchSize if zero). The
+	// reader reads as many packets as it takes to select that many.
+	// Larger batches amortize source calls and ring operations; 1
+	// disables batching.
 	BatchSize int
 	// Policy is the overload policy (Block if unset).
 	Policy OverloadPolicy
 
-	// NewSampler builds shard's online sampler. Required unless
-	// Adaptive is set. Random samplers must not share one RNG across
-	// shards.
+	// NewSampler builds the pipeline's sampler (online.NewMethod builds
+	// the paper's four). New calls it exactly once, with argument 0;
+	// the reader runs that one sampler over the whole stream before the
+	// fan-out, so the selected set is the same for any shard and worker
+	// count. Required unless Adaptive is set. Count-driven samplers
+	// (online.Counted) let the reader jump between selections; any
+	// other Sampler is offered every packet.
 	NewSampler func(shard int) (online.Sampler, error)
 
 	// Adaptive, when set, replaces NewSampler with the closed-loop
-	// systematic schedule: the reader stamps every packet's selection
-	// decision from one global regime, and a per-window control step on
-	// the barrier steers k within [MinK, MaxK]. Requires WindowUS > 0
-	// (the control loop lives on the window cut). Mutually exclusive
-	// with NewSampler.
+	// systematic schedule: the reader's sampler is a systematic one, and
+	// a per-window control step on the barrier steers its k within
+	// [MinK, MaxK]. Requires WindowUS > 0 (the control loop lives on the
+	// window cut). Mutually exclusive with NewSampler.
 	Adaptive *AdaptiveConfig
 
 	// SizeScheme and IatScheme bin the two characterization targets
@@ -239,15 +251,21 @@ type Pipeline struct {
 	place    cputopo.Placement
 	pinFails atomic.Uint64
 
-	// Adaptive-control state (Config.Adaptive). selK and selCount are
-	// reader-owned: the granularity in force and the packet index within
-	// the current selection regime. adaptK is collector-owned; the
-	// barrier handshake (barrier.decided) orders every cross-ownership
-	// access. decisions is guarded by mu.
-	selK      int
-	selCount  uint64
+	// sel is the pipeline's one sampler, reader-owned.
+	sel selector
+
+	// Adaptive-control state (Config.Adaptive). adaptSys is the reader's
+	// systematic sampler, which the barrier handshake re-anchors at each
+	// decided change of k. adaptK is collector-owned; the handshake
+	// (barrier.decided) orders every cross-ownership access. decisions
+	// is guarded by mu.
+	adaptSys  *online.Systematic
 	adaptK    int
 	decisions []AdaptiveDecision
+
+	// shardStart, when set, runs on each shard worker before it consumes
+	// anything. Tests use it to wedge a shard.
+	shardStart func(shard int)
 }
 
 // New validates cfg and builds a ready-to-Run pipeline.
@@ -327,24 +345,29 @@ func New(cfg Config) (*Pipeline, error) {
 		p.pinned = true
 		p.place = cputopo.Plan(topo, cfg.IngestWorkers, cfg.Shards)
 	}
+	var sampler online.Sampler
 	if cfg.Adaptive != nil {
-		p.selK = cfg.Adaptive.StartK
+		sys, err := online.NewSystematic(cfg.Adaptive.StartK, 0)
+		if err != nil {
+			return nil, fmt.Errorf("pipeline: adaptive sampler: %w", err)
+		}
+		p.adaptSys = sys
 		p.adaptK = cfg.Adaptive.StartK
+		sampler = sys
+	} else {
+		var err error
+		if sampler, err = cfg.NewSampler(0); err != nil {
+			return nil, fmt.Errorf("pipeline: sampler: %w", err)
+		}
+		if sampler == nil {
+			return nil, fmt.Errorf("%w: NewSampler returned no sampler", ErrConfig)
+		}
 	}
+	p.sel = newSelector(sampler)
 	p.shards = make([]*shardState, cfg.Shards)
 	sizeLUT := buildSizeLUT(cfg.SizeScheme)
 	for i := range p.shards {
-		// In adaptive mode no shard sampler exists: the selection
-		// decision rides each item from the reader's global regime.
-		var sampler online.Sampler
-		if cfg.NewSampler != nil {
-			var err error
-			sampler, err = cfg.NewSampler(i)
-			if err != nil {
-				return nil, fmt.Errorf("pipeline: shard %d sampler: %w", i, err)
-			}
-		}
-		st, err := newShardState(i, sampler, &cfg, sizeLUT)
+		st, err := newShardState(i, &cfg, sizeLUT)
 		if err != nil {
 			return nil, err
 		}
@@ -473,8 +496,9 @@ func (p *Pipeline) PinFailures() uint64 { return p.pinFails.Load() }
 // workers, publishes the final Snapshot, and returns the source error
 // if any. The reader prefers the richest source form available: a
 // RawBatchSource (e.g. *trace.MapReader) feeds the zero-copy raw path —
-// record windows go to the ingest workers undecoded and the workers run
-// the fused decode/hash/gap kernel in parallel — a BatchSource pulls
+// the reader selects from record windows undecoded and the workers run
+// the fused decode/hash/gap kernel on the selected records in parallel
+// — a BatchSource pulls
 // whole decoded batches, and a plain Source is adapted per packet.
 // Under the Block policy all three paths produce identical snapshots.
 // Run may be called once per Pipeline.
@@ -539,27 +563,34 @@ func (p *Pipeline) Snapshots() []*Snapshot {
 }
 
 // read is the sequential stage: it owns the virtual clock, the window
-// barriers, the gap stamps, and the unit sequence numbers. It runs on
-// the Run caller's goroutine. Everything downstream may be parallel
-// because everything order-sensitive is decided here.
+// barriers, the selection, the gap stamps, and the unit sequence
+// numbers. It runs on the Run caller's goroutine. Everything downstream
+// may be parallel because everything order-sensitive is decided here.
+//
+// Each batch lands in the unit buffer behind the packets already
+// selected; the walk compacts the selected ones forward in place, each
+// with its full-stream gap, so a unit carries only the sample and is
+// sent once it holds BatchSize selections. At k = 1 every packet stays
+// where it landed and nothing is copied.
 //
 //nslint:hotpath
 func (p *Pipeline) read(bs BatchSource) error {
 	var (
 		srcErr    error
 		prevTime  int64
-		havePrev  bool
 		winStart  int64
-		nextWin   int64
+		nextWin   = int64(math.MaxInt64)
 		windowing = p.cfg.WindowUS > 0
-		offered   uint64
+		idx       uint64 // stream index of the packet being walked
+		offered   uint64 // this window
+		selected  uint64 // this window
 		lastTime  int64
-		firstSeen bool
 	)
-	cur := p.takeUnit()
-	curN := 0
+	sl := &p.sel
+	cur := p.takeUnit(p.useq)
+	w := 0 // selected packets compacted at the front of cur
 	for !p.stopReq.Load() {
-		n, err := bs.NextBatch(cur.pkts[curN:p.cfg.BatchSize])
+		n, err := bs.NextBatch(cur.pkts[w:p.cfg.BatchSize])
 		if err != nil {
 			if !errors.Is(err, io.EOF) {
 				//nslint:allow hotalloc error path: one wrap at stream end, never per packet
@@ -567,146 +598,215 @@ func (p *Pipeline) read(bs BatchSource) error {
 			}
 			// Packets returned alongside the error are still delivered.
 		}
-		i := curN
-		curN += n
-		for i < curN {
-			pkt := &cur.pkts[i]
-			if !firstSeen {
-				firstSeen = true
-				winStart = pkt.Time
-				if windowing {
-					nextWin = pkt.Time + p.cfg.WindowUS
-				}
-				cur.noGap0 = true // the stream's first packet has no predecessor
+		if idx == 0 && n > 0 {
+			first := cur.pkts[w].Time
+			winStart = first
+			if windowing {
+				nextWin = first + p.cfg.WindowUS
 			}
-			for windowing && pkt.Time >= nextWin {
-				cur, curN, i = p.splitUnit(cur, curN, i)
-				pkt = &cur.pkts[i]
-				p.emitBarrier(winStart, nextWin, false, offered)
-				offered = 0
-				winStart = nextWin
-				nextWin += p.cfg.WindowUS
-			}
-			if havePrev {
-				cur.gaps[i] = pkt.Time - prevTime
-			} else {
-				cur.gaps[i] = 0
-			}
-			prevTime, havePrev = pkt.Time, true
-			lastTime = pkt.Time
-			offered++
-			i++
+			// The stream's first packet has no predecessor: seeding the
+			// chain with its own timestamp yields gap 0, and noGap0 masks
+			// the observation in the worker.
+			prevTime = first
 		}
-		if curN == p.cfg.BatchSize {
-			p.sendUnit(cur, curN)
-			cur = p.takeUnit()
-			curN = 0
+		limit := min(nextWin, sl.due)
+		for i, end := w, w+n; i < end; i++ {
+			t := cur.pkts[i].Time
+			sel := false
+			if t >= limit {
+				for windowing && t >= nextWin {
+					cur, w, i, end = p.cutUnit(cur, w, i, end)
+					p.emitBarrier(winStart, nextWin, false, offered, selected, idx)
+					offered, selected = 0, 0
+					winStart = nextWin
+					nextWin += p.cfg.WindowUS
+				}
+				if t >= sl.due {
+					sel = sl.s.Offer(t)
+				}
+				limit = min(nextWin, sl.due)
+			}
+			if idx == sl.next {
+				sl.take(idx)
+				sel = true
+			}
+			if sel {
+				if w != i {
+					cur.pkts[w] = cur.pkts[i]
+				}
+				cur.gaps[w] = t - prevTime
+				if idx == 0 {
+					cur.noGap0 = true
+				}
+				w++
+				selected++
+			}
+			prevTime = t
+			offered++
+			idx++
+		}
+		if n > 0 {
+			lastTime = prevTime
+		}
+		if w == p.cfg.BatchSize {
+			p.sendUnit(cur, w)
+			cur = p.takeUnit(p.useq)
+			w = 0
 		}
 		if err != nil {
 			break
 		}
 	}
-	if curN > 0 {
-		p.sendUnit(cur, curN)
+	if w > 0 {
+		p.sendUnit(cur, w)
 	}
 	endUS := lastTime + 1
-	if !firstSeen {
+	if idx == 0 {
 		winStart, endUS = 0, 0
 	}
-	p.emitBarrier(winStart, endUS, true, offered)
+	p.emitBarrier(winStart, endUS, true, offered, selected, idx)
 	return srcErr
 }
 
+// cutUnit closes the unit being walked at a window cut in front of
+// packet i: the selected packets [0, w) leave as their own unit and the
+// unwalked remainder [i, end) moves to the front of a fresh buffer,
+// where the walk resumes. With nothing selected yet the cut precedes
+// the unit, which keeps its buffer.
+func (p *Pipeline) cutUnit(cur *unitBuf, w, i, end int) (*unitBuf, int, int, int) {
+	if w == 0 {
+		return cur, 0, i, end
+	}
+	next := p.takeUnit(p.useq + 1)
+	rest := copy(next.pkts[:end-i], cur.pkts[i:end])
+	p.sendUnit(cur, w)
+	return next, 0, 0, rest
+}
+
 // readRaw is the zero-copy form of read: it pulls raw record windows
-// from the source and forwards them to the ingest workers undecoded, so
-// the per-packet decode, 5-tuple hash, and gap stamp all run inside the
-// parallel workers (DecodeBatch) instead of on this goroutine. The
-// reader touches only the 8-byte timestamp field of each record — to
-// drive the virtual-clock window barriers and the gap chain — and with
-// windowing disabled it reads just two timestamps per window (first and
-// last), making the sequential stage O(batches) instead of O(packets).
+// from the source and forwards only the selected records, undecoded,
+// to the ingest workers — a unit is a record window plus the list of
+// its selected record offsets, and the workers decode, hash and
+// gap-stamp just those (partitionRaw). The reader touches only the
+// 8-byte timestamp field of a record, and only when windowing or a
+// non-count-driven sampler needs it: a count-driven sampler without windowing
+// jumps straight from one selected index to the next, making the
+// sequential stage O(selected) instead of O(packets).
 //
-// Window cuts slice the raw window at record granularity, so barrier
-// positions, per-window offered counts, and gap observations are
-// identical to the decoded path; unit boundaries may differ (a raw unit
-// is a source window, not a reader-accumulated BatchSize batch), which
-// is invisible under the Block policy because snapshots are invariant
-// to unit grouping.
+// A unit closes when it holds BatchSize selections, at a window cut,
+// or at the end of the source window, so the reader asks the source
+// for about BatchSize selections' worth of records (nextSpan). Window
+// cuts slice the raw window at record granularity, so barrier
+// positions, per-window counts, selections and gap observations are
+// identical to the decoded path; unit boundaries may differ, which is
+// invisible under the Block policy because snapshots are invariant to
+// unit grouping.
 //
 //nslint:hotpath
 func (p *Pipeline) readRaw(rs RawBatchSource) error {
 	var (
 		srcErr    error
-		prevUS    int64
+		prevUS    int64 // timestamp of the record preceding the source window
 		winStart  int64
-		nextWin   int64
+		nextWin   = int64(math.MaxInt64)
 		windowing = p.cfg.WindowUS > 0
-		offered   uint64
+		base      uint64 // stream index of the source window's first record
+		offered   uint64 // this window
+		selected  uint64 // this window
 		lastTime  int64
-		firstSeen bool
-		sentFirst bool
+		span      = p.cfg.BatchSize
 	)
+	sl := &p.sel
+	// A count-driven sampler without windowing never needs a timestamp.
+	scan := windowing || sl.count == nil
+	cur := p.takeUnit(p.useq)
 	for !p.stopReq.Load() {
-		raw, n, err := rs.NextRawBatch(p.cfg.BatchSize)
+		raw, n, err := rs.NextRawBatch(span)
 		if err != nil && !errors.Is(err, io.EOF) {
 			//nslint:allow hotalloc error path: one wrap at stream end, never per packet
 			srcErr = fmt.Errorf("pipeline: source: %w", err)
 		}
 		// Records returned alongside an error are still delivered.
 		if n > 0 {
-			if !firstSeen {
-				firstSeen = true
+			if base == 0 {
 				first := rawTime(raw, 0)
 				winStart = first
 				if windowing {
 					nextWin = first + p.cfg.WindowUS
 				}
-				// The stream's first packet has no predecessor: seeding the
-				// chain with its own timestamp yields gap 0, and noGap0
-				// masks the observation in the worker.
-				prevUS = first
+				prevUS = first // gap 0 for the stream's first record, masked by noGap0
 			}
-			seg := 0
-			if windowing {
-				i := 0
-				for i < n {
+			seg := 0 // first record of the unit being filled
+			picked := 0
+			if scan {
+				limit := min(nextWin, sl.due)
+				for i := 0; i < n; i++ {
 					t := rawTime(raw, i)
-					if t >= nextWin {
-						if i > seg {
-							p.sendRawUnit(raw, seg, i, prevUS, !sentFirst)
-							sentFirst = true
-							prevUS = rawTime(raw, i-1)
+					sel := false
+					if t >= limit {
+						for windowing && t >= nextWin {
+							if len(cur.offs) > 0 {
+								cur = p.sendRawUnit(cur, raw, seg, i, prevUS, base)
+							}
 							seg = i
+							p.emitBarrier(winStart, nextWin, false, offered, selected, base+uint64(i))
+							offered, selected = 0, 0
+							winStart = nextWin
+							nextWin += p.cfg.WindowUS
 						}
-						p.emitBarrier(winStart, nextWin, false, offered)
-						offered = 0
-						winStart = nextWin
-						nextWin += p.cfg.WindowUS
-						continue
+						if t >= sl.due {
+							sel = sl.s.Offer(t)
+						}
+						limit = min(nextWin, sl.due)
+					}
+					if base+uint64(i) == sl.next {
+						sl.take(sl.next)
+						sel = true
 					}
 					offered++
-					lastTime = t
-					i++
+					if sel {
+						//nslint:allow hotalloc append into a cap-pinned recycled buffer: a unit is sent as soon as it holds BatchSize offsets, the capacity every offset list is made with
+						cur.offs = append(cur.offs, uint32(i-seg))
+						selected++
+						picked++
+						if len(cur.offs) == p.cfg.BatchSize {
+							cur = p.sendRawUnit(cur, raw, seg, i+1, prevUS, base)
+							seg = i + 1
+						}
+					}
 				}
 			} else {
+				for end := base + uint64(n); sl.next < end; {
+					i := int(sl.next - base)
+					sl.take(sl.next)
+					//nslint:allow hotalloc append into a cap-pinned recycled buffer: a unit is sent as soon as it holds BatchSize offsets, the capacity every offset list is made with
+					cur.offs = append(cur.offs, uint32(i-seg))
+					picked++
+					if len(cur.offs) == p.cfg.BatchSize {
+						cur = p.sendRawUnit(cur, raw, seg, i+1, prevUS, base)
+						seg = i + 1
+					}
+				}
 				offered += uint64(n)
-				lastTime = rawTime(raw, n-1)
+				selected += uint64(picked)
 			}
-			if n > seg {
-				p.sendRawUnit(raw, seg, n, prevUS, !sentFirst)
-				sentFirst = true
-				prevUS = lastTime
+			if len(cur.offs) > 0 {
+				cur = p.sendRawUnit(cur, raw, seg, n, prevUS, base)
 			}
+			lastTime = rawTime(raw, n-1)
+			prevUS = lastTime
+			base += uint64(n)
+			span = nextSpan(span, p.cfg.BatchSize, n, picked)
 		}
 		if err != nil {
 			break
 		}
 	}
 	endUS := lastTime + 1
-	if !firstSeen {
+	if base == 0 {
 		winStart, endUS = 0, 0
 	}
-	p.emitBarrier(winStart, endUS, true, offered)
+	p.emitBarrier(winStart, endUS, true, offered, selected, base)
 	return srcErr
 }
 
@@ -718,92 +818,52 @@ func rawTime(raw []byte, i int) int64 {
 	return int64(binary.LittleEndian.Uint64(raw[i*trace.RecordLen:]))
 }
 
-// sendRawUnit hands the [from, to) record sub-window of raw to its
-// round-robin ingest worker, consuming one sequence number. The slice
-// aliases the source's region (stable until Run returns, per
-// RawBatchSource), so no unit buffer is consumed — the bounded in ring
-// alone provides the backpressure. Reader goroutine only.
+// sendRawUnit hands the [from, to) record sub-window of raw, with the
+// selected offsets collected in buf, to its round-robin ingest worker,
+// consuming one sequence number, and returns a fresh buffer for the
+// next unit. The slice aliases the source's region (stable until Run
+// returns, per RawBatchSource); prevUS is the timestamp of the record
+// preceding raw, and base is raw's first stream index. Reader
+// goroutine only.
 //
 //nslint:hotpath
-func (p *Pipeline) sendRawUnit(raw []byte, from, to int, prevUS int64, noGap0 bool) {
+func (p *Pipeline) sendRawUnit(buf *unitBuf, raw []byte, from, to int, prevUS int64, base uint64) *unitBuf {
+	if from > 0 {
+		prevUS = rawTime(raw, from-1)
+	}
+	buf.noGap0 = base+uint64(from) == 0
 	w := int(p.useq % uint64(len(p.ingest)))
-	u := srcUnit{
+	p.ingest[w].in.push(srcUnit{
 		seq:    p.useq,
+		buf:    buf,
 		raw:    raw[from*trace.RecordLen : to*trace.RecordLen],
-		n:      to - from,
 		prevUS: prevUS,
-		noGap0: noGap0,
-	}
-	if p.selK > 0 {
-		u.selIdx = p.selCount
-		u.selK = p.selK
-		p.selCount += uint64(u.n)
-	}
-	p.ingest[w].in.push(u)
+	})
 	p.useq++
+	return p.takeUnit(p.useq)
 }
 
-// takeUnit acquires a recycled batch buffer for the unit that will
-// carry sequence number p.useq. Buffer accounting (QueueDepth+2 units
-// circulate per worker) guarantees the free ring is non-empty whenever
-// the reader needs one.
-func (p *Pipeline) takeUnit() *unitBuf {
-	w := int(p.useq % uint64(len(p.ingest)))
-	buf, _ := p.ingest[w].freeUnits.pop()
+// takeUnit acquires a recycled unit buffer for the unit that will
+// carry sequence number seq: p.useq for the next unit, or p.useq+1 for
+// the one after a unit being split at a window cut (the barrier between
+// them consumes one full round of sequence numbers, so it round-robins
+// to the same worker). Buffer accounting (QueueDepth+2 units circulate
+// per worker) guarantees the free ring is non-empty whenever the reader
+// needs one.
+func (p *Pipeline) takeUnit(seq uint64) *unitBuf {
+	buf, _ := p.ingest[seq%uint64(len(p.ingest))].freeUnits.pop()
 	buf.noGap0 = false
+	buf.offs = buf.offs[:0]
 	return buf
 }
 
-// sendUnit hands a filled unit to its round-robin ingest worker,
-// consuming one sequence number. In adaptive mode the unit is stamped
-// with the selection regime of its first packet (the regime's k and the
-// packet's index within it), so the ingest workers can reproduce the
-// reader's global systematic schedule without any shared counter.
-// Units never span a window barrier (splitUnit cuts them first), so one
-// stamp covers the whole unit. Reader goroutine only.
+// sendUnit hands a unit of n selected, decoded packets to its
+// round-robin ingest worker, consuming one sequence number. Reader
+// goroutine only.
 func (p *Pipeline) sendUnit(buf *unitBuf, n int) {
 	w := int(p.useq % uint64(len(p.ingest)))
-	u := srcUnit{seq: p.useq, buf: buf, n: n}
-	if p.selK > 0 {
-		u.selIdx = p.selCount
-		u.selK = p.selK
-		p.selCount += uint64(n)
-	}
-	p.ingest[w].in.push(u)
+	p.ingest[w].in.push(srcUnit{seq: p.useq, buf: buf, n: n})
 	p.useq++
-}
-
-// splitUnit cuts a partially-walked unit at a window boundary: packets
-// [0, i) are sent as their own unit, the unwalked remainder [i, n)
-// moves to a fresh buffer, and the walk restarts at its beginning.
-// Window barriers consume exactly one sequence number per ingest
-// worker, so the round-robin target of the in-flight unit is invariant
-// under any number of interleaved barriers.
-func (p *Pipeline) splitUnit(cur *unitBuf, n, i int) (*unitBuf, int, int) {
-	if i == 0 {
-		return cur, n, 0 // nothing walked yet: the cut precedes the unit
-	}
-	rest := n - i
-	if rest == 0 {
-		p.sendUnit(cur, n)
-		next := p.takeUnit()
-		return next, 0, 0
-	}
-	next := p.takeUnitAfter()
-	copy(next.pkts[:rest], cur.pkts[i:n])
-	p.sendUnit(cur, i)
-	return next, rest, 0
-}
-
-// takeUnitAfter acquires the buffer for the unit that will follow the
-// one currently being split (sequence p.useq+1+N-barrier… the target
-// worker is p.useq+1 plus one full barrier round, which round-robins
-// to the same worker as p.useq+1).
-func (p *Pipeline) takeUnitAfter() *unitBuf {
-	w := int((p.useq + 1) % uint64(len(p.ingest)))
-	buf, _ := p.ingest[w].freeUnits.pop()
-	buf.noGap0 = false
-	return buf
 }
 
 // emitBarrier cuts the stream at the current read position: one
@@ -811,7 +871,9 @@ func (p *Pipeline) takeUnitAfter() *unitBuf {
 // numbers, so every worker forwards exactly one fragment through each
 // of its shard rings and every shard observes the cut at the same
 // stream offset. Fragments are always delivered — overload may drop
-// data batches, never a cut.
+// data batches, never a cut. offered and selected are the window's
+// reader counts; at is the stream index of the first packet after the
+// cut.
 //
 // In adaptive mode the barrier doubles as the control-loop handshake:
 // the reader parks on bar.decided until the collector has merged the
@@ -820,21 +882,22 @@ func (p *Pipeline) takeUnitAfter() *unitBuf {
 // pushed before the wait, so the shards can always reach the cut and
 // the collector always closes decided. The wait is what makes adaptive
 // runs deterministic for any worker/shard count: every packet of
-// window w+1 is stamped under the k decided from window w, regardless
+// window w+1 is selected under the k decided from window w, regardless
 // of how the goroutines interleave.
 //
 //nslint:coldpath runs once per window boundary; its allocations amortize over the window's packets
-func (p *Pipeline) emitBarrier(startUS, endUS int64, final bool, offered uint64) {
+func (p *Pipeline) emitBarrier(startUS, endUS int64, final bool, offered, selected, at uint64) {
 	p.winSeq++
 	bar := &barrier{
-		seq:     p.winSeq,
-		startUS: startUS,
-		endUS:   endUS,
-		final:   final,
-		offered: offered,
-		parts:   make(chan shardPart, len(p.shards)),
+		seq:      p.winSeq,
+		startUS:  startUS,
+		endUS:    endUS,
+		final:    final,
+		offered:  offered,
+		selected: selected,
+		parts:    make(chan shardPart, len(p.shards)),
 	}
-	if p.selK > 0 {
+	if p.adaptSys != nil {
 		bar.decided = make(chan struct{})
 	}
 	for range p.ingest {
@@ -845,11 +908,14 @@ func (p *Pipeline) emitBarrier(startUS, endUS int64, final bool, offered uint64)
 	p.barriers <- bar
 	if bar.decided != nil {
 		<-bar.decided
-		if bar.nextK != p.selK {
-			// New granularity regime: re-anchor the global schedule at
-			// the first packet of the next window.
-			p.selK = bar.nextK
-			p.selCount = 0
+		if bar.nextK != p.adaptSys.K() {
+			// New granularity regime: re-anchor the schedule so the first
+			// packet of the next window is selected. decide clamps k to
+			// [MinK, MaxK], so SetGranularity cannot fail.
+			if err := p.adaptSys.SetGranularity(bar.nextK); err == nil {
+				p.adaptSys.Reset()
+				p.sel.rearm(at)
+			}
 		}
 	}
 }

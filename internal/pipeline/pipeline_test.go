@@ -49,107 +49,6 @@ func reportBits(r metrics.Report) [7]uint64 {
 	}
 }
 
-// TestSingleShardSnapshotMatchesBatch pins the deterministic-mode
-// guarantee: a single-shard pipeline's final snapshot is bit-identical
-// — selected count, histogram counts, and every float64 of both metric
-// reports — to the batch core sampler + evaluator on the same trace
-// and seed.
-func TestSingleShardSnapshotMatchesBatch(t *testing.T) {
-	const seed = 42
-	tr := smallTrace(t, 777)
-	period, err := core.PeriodForGranularity(tr, 50)
-	if err != nil {
-		t.Fatalf("period: %v", err)
-	}
-	// The online stratified sampler draws one target per full bucket; the
-	// batch form draws a uniform index over the partial tail bucket too,
-	// so draw sequences only align when the length is a bucket multiple.
-	trimmed := &trace.Trace{Start: tr.Start, ClockUS: tr.ClockUS}
-	trimmed.Packets = tr.Packets[:tr.Len()-tr.Len()%50]
-
-	cases := []struct {
-		name  string
-		tr    *trace.Trace
-		batch core.Sampler
-		build func(shard int) (online.Sampler, error)
-	}{
-		{
-			name:  "systematic",
-			tr:    tr,
-			batch: core.SystematicCount{K: 50},
-			build: func(int) (online.Sampler, error) { return online.NewSystematic(50, 0) },
-		},
-		{
-			name:  "stratified",
-			tr:    trimmed,
-			batch: core.StratifiedCount{K: 50},
-			build: func(int) (online.Sampler, error) {
-				return online.NewStratified(50, dist.NewRNG(seed))
-			},
-		},
-		{
-			name:  "systematic-timer",
-			tr:    tr,
-			batch: core.SystematicTimer{PeriodUS: period},
-			build: func(int) (online.Sampler, error) {
-				return online.NewSystematicTimer(period, 0)
-			},
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			sizeEval, iatEval := evaluators(t, tc.tr)
-			idx, err := tc.batch.Select(tc.tr, dist.NewRNG(seed))
-			if err != nil {
-				t.Fatalf("batch select: %v", err)
-			}
-			wantSize, err := sizeEval.Score(idx)
-			if err != nil {
-				t.Fatalf("batch size score: %v", err)
-			}
-			wantIat, err := iatEval.Score(idx)
-			if err != nil {
-				t.Fatalf("batch iat score: %v", err)
-			}
-
-			p, err := New(Config{
-				Shards:     1,
-				NewSampler: tc.build,
-				SizeEval:   sizeEval,
-				IatEval:    iatEval,
-			})
-			if err != nil {
-				t.Fatalf("New: %v", err)
-			}
-			if err := p.Run(tc.tr.Replay()); err != nil {
-				t.Fatalf("Run: %v", err)
-			}
-			snap, ok := p.Latest()
-			if !ok {
-				t.Fatal("no snapshot published")
-			}
-			if !snap.Final {
-				t.Error("final snapshot not marked Final")
-			}
-			if got, want := snap.Selected, uint64(len(idx)); got != want {
-				t.Errorf("Selected = %d, want %d", got, want)
-			}
-			if got, want := snap.Processed, uint64(tc.tr.Len()); got != want {
-				t.Errorf("Processed = %d, want %d", got, want)
-			}
-			if snap.SizeReport == nil || snap.IatReport == nil {
-				t.Fatal("snapshot reports missing")
-			}
-			if got, want := reportBits(*snap.SizeReport), reportBits(wantSize); got != want {
-				t.Errorf("size report bits = %v, want %v", got, want)
-			}
-			if got, want := reportBits(*snap.IatReport), reportBits(wantIat); got != want {
-				t.Errorf("iat report bits = %v, want %v", got, want)
-			}
-		})
-	}
-}
-
 // TestWindowedCountsSumToBatch checks the window cuts lose nothing: the
 // per-window histogram counts and selection totals of a windowed run
 // sum to the single-window (= batch) values, windows are sequenced, and
@@ -397,8 +296,8 @@ func TestMultiShardConservation(t *testing.T) {
 }
 
 // gateSource feeds synthetic packets and signals exhaustion; its gate
-// holds the shard worker's first Offer until the stream has drained, so
-// the Drop-policy test overflows the queue deterministically.
+// holds the shard worker until the stream has drained, so the
+// Drop-policy test overflows the queue deterministically.
 type gateSource struct {
 	n    int
 	pos  int
@@ -415,36 +314,28 @@ func (g *gateSource) Next() (trace.Packet, error) {
 	return p, nil
 }
 
-// gateSampler blocks its first Offer until the gate closes.
-type gateSampler struct {
-	gate <-chan struct{}
-}
-
-func (g *gateSampler) Name() string { return "gate" }
-func (g *gateSampler) Offer(int64) bool {
-	<-g.gate
-	return true
-}
-func (g *gateSampler) Reset() {}
-
-// TestDropPolicyAccounting wedges the single worker behind a gate so
-// the bounded queue overflows, and checks drops are counted, surfaced
-// per shard, and consistent with the offered/processed totals.
+// TestDropPolicyAccounting wedges the single shard worker behind a gate
+// so the bounded queue overflows, and checks drops are counted,
+// surfaced per shard, and consistent with the offered/processed totals
+// and with the reader's selection: every selected packet is either
+// aggregated or counted as dropped.
 func TestDropPolicyAccounting(t *testing.T) {
-	const n = 100
+	const (
+		n = 100
+		k = 2
+	)
 	gate := make(chan struct{})
 	p, err := New(Config{
 		Shards:     1,
 		QueueDepth: 1,
 		BatchSize:  1,
 		Policy:     Drop,
-		NewSampler: func(int) (online.Sampler, error) {
-			return &gateSampler{gate: gate}, nil
-		},
+		NewSampler: func(int) (online.Sampler, error) { return online.NewSystematic(k, 0) },
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
+	p.shardStart = func(int) { <-gate }
 	if err := p.Run(&gateSource{n: n, gate: gate}); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -471,6 +362,10 @@ func TestDropPolicyAccounting(t *testing.T) {
 	}
 	if snap.Selected > snap.Processed {
 		t.Errorf("Selected %d > Processed %d", snap.Selected, snap.Processed)
+	}
+	if want := uint64(n / k); snap.Selected+snap.Dropped != want {
+		t.Errorf("selected %d + dropped %d != %d selected by the reader",
+			snap.Selected, snap.Dropped, want)
 	}
 }
 

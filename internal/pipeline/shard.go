@@ -6,11 +6,10 @@ import (
 	"netsample/internal/bins"
 	"netsample/internal/flows"
 	"netsample/internal/nnstat"
-	"netsample/internal/online"
 	"netsample/internal/trace"
 )
 
-// item is one packet annotated at ingest with its interarrival gap
+// item is one selected packet annotated with its interarrival gap
 // against its predecessor in the full stream — the observation a
 // monitor's last-timestamp register yields. Computing the gap before
 // fan-out keeps the interarrival histogram exact under sharding.
@@ -18,13 +17,6 @@ type item struct {
 	pkt    trace.Packet
 	gapUS  int64
 	hasGap bool
-	// sel is the reader-decided selection verdict under adaptive
-	// control (Config.Adaptive): the global systematic schedule is
-	// evaluated at ingest from the unit's regime stamp, so every shard
-	// sees the same selected set for any worker/shard count. Unused
-	// (false) in fixed-sampler mode; fits the struct's existing
-	// trailing padding.
-	sel bool
 }
 
 // shardMsg travels a (ingest worker, shard) ring: a data batch or a
@@ -61,14 +53,6 @@ type shardState struct {
 	spin      []spinState
 
 	// Worker-owned.
-	// globalSel switches selection to the item's reader-decided sel bit
-	// (adaptive mode); sampler/sysSampler are nil in that mode.
-	globalSel bool
-	sampler   online.Sampler
-	// sysSampler devirtualizes the per-packet Offer when the sampler is
-	// the common *online.Systematic: a direct (inlinable) call instead
-	// of an interface dispatch on the path every packet takes.
-	sysSampler *online.Systematic
 	sizeScheme bins.Scheme
 	iatScheme  bins.Scheme
 	// sizeLUT tabulates sizeScheme.Index over the full uint16 domain of
@@ -85,7 +69,6 @@ type shardState struct {
 	topk       *nnstat.TopK
 	topkReport int
 	keyBuf     [13]byte
-	processed  uint64
 	selected   uint64
 	dropped    uint64 // drop deltas accumulated from ring messages this window
 }
@@ -93,7 +76,7 @@ type shardState struct {
 // newShardState allocates one shard's aggregates. The rings are wired
 // in by New once the ingest workers exist; sizeLUT is built once by New
 // and shared read-only across shards.
-func newShardState(id int, sampler online.Sampler, cfg *Config, sizeLUT []uint8) (*shardState, error) {
+func newShardState(id int, cfg *Config, sizeLUT []uint8) (*shardState, error) {
 	flowTab, err := flows.NewTable(cfg.FlowTimeoutUS)
 	if err != nil {
 		return nil, err
@@ -103,12 +86,8 @@ func newShardState(id int, sampler online.Sampler, cfg *Config, sizeLUT []uint8)
 		return nil, err
 	}
 	iatEdged, _ := cfg.IatScheme.(*bins.Edged)
-	sysSampler, _ := sampler.(*online.Systematic)
 	return &shardState{
 		id:         id,
-		globalSel:  cfg.Adaptive != nil,
-		sampler:    sampler,
-		sysSampler: sysSampler,
 		sizeScheme: cfg.SizeScheme,
 		iatScheme:  cfg.IatScheme,
 		sizeLUT:    sizeLUT,
@@ -181,6 +160,9 @@ func buildSizeLUT(s bins.Scheme) []uint8 {
 func (p *Pipeline) shardWorker(st *shardState) {
 	defer p.shardWG.Done()
 	p.pinShard(st.id)
+	if p.shardStart != nil {
+		p.shardStart(st.id)
+	}
 	n := uint64(len(st.in))
 	live := int(n)
 	var (
@@ -239,22 +221,10 @@ func (p *Pipeline) shardWorker(st *shardState) {
 	}
 }
 
-// process offers one packet to the shard's sampler and, if selected,
-// feeds the incremental aggregates. This is the per-packet hot path —
-// it must not allocate (pinned by TestPipelineHotPathAllocs).
+// process feeds one selected packet into the incremental aggregates.
+// This is the per-packet hot path — it must not allocate (pinned by
+// TestPipelineHotPathAllocs).
 func (st *shardState) process(it *item) {
-	st.processed++
-	if st.globalSel {
-		if !it.sel {
-			return
-		}
-	} else if st.sysSampler != nil {
-		if !st.sysSampler.Offer(it.pkt.Time) {
-			return
-		}
-	} else if !st.sampler.Offer(it.pkt.Time) {
-		return
-	}
 	st.selected++
 	if st.sizeLUT != nil {
 		st.sizeCounts[st.sizeLUT[it.pkt.Size]]++
@@ -281,15 +251,12 @@ func (st *shardState) process(it *item) {
 }
 
 // cut snapshots the shard's window-local aggregates into a shardPart
-// and resets them for the next window. The sampler is deliberately not
-// reset: its selection schedule continues across windows, exactly as a
-// batch sampler runs uninterrupted over the whole trace.
+// and resets them for the next window.
 //
 //nslint:coldpath runs once per window cut; its copies amortize over the window's packets
 func (st *shardState) cut() shardPart {
 	part := shardPart{
 		shard:       st.id,
-		processed:   st.processed,
 		selected:    st.selected,
 		dropped:     st.dropped,
 		sizeCounts:  append([]float64(nil), st.sizeCounts...),
@@ -298,7 +265,7 @@ func (st *shardState) cut() shardPart {
 		topk:        st.topk.Top(st.topkReport),
 	}
 	part.flows = flows.CountFlows(st.flowTab.Flush())
-	st.processed, st.selected, st.dropped = 0, 0, 0
+	st.selected, st.dropped = 0, 0
 	clearFloats(st.sizeCounts)
 	clearFloats(st.iatCounts)
 	st.topk.Reset()

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"fmt"
 	"sort"
 
 	"netsample/internal/collect"
@@ -12,16 +13,17 @@ import (
 
 // barrier is a window cut travelling through every shard ring as one
 // fragment per ingest worker. The reader stamps it with the window
-// bounds and the offered count; each shard deposits its partial state
-// into parts once fragments from all workers have reached it in
-// sequence order.
+// bounds and its offered and selected counts; each shard deposits its
+// partial state into parts once fragments from all workers have reached
+// it in sequence order.
 type barrier struct {
-	seq     uint64
-	startUS int64
-	endUS   int64
-	final   bool
-	offered uint64
-	parts   chan shardPart
+	seq      uint64
+	startUS  int64
+	endUS    int64
+	final    bool
+	offered  uint64
+	selected uint64
+	parts    chan shardPart
 
 	// Adaptive-control handshake (nil channel when adaptive is off):
 	// the collector stores the next window's granularity in nextK and
@@ -31,12 +33,12 @@ type barrier struct {
 	decided chan struct{}
 }
 
-// shardPart is one shard's window-local state at a barrier. dropped is
-// the shard's overload loss this window, summed from the drop deltas
-// the ingest workers flushed down its rings.
+// shardPart is one shard's window-local state at a barrier. selected
+// counts the selected packets the shard aggregated; dropped is its
+// overload loss this window, summed from the drop deltas the ingest
+// workers flushed down its rings.
 type shardPart struct {
 	shard       int
-	processed   uint64
 	selected    uint64
 	dropped     uint64
 	sizeCounts  []float64
@@ -66,10 +68,14 @@ type Snapshot struct {
 	// operational detail, and the export format stays unchanged.
 	K int
 
-	// Offered counts packets the ingest read from the source this
-	// window; Processed counts those that reached a shard worker;
-	// Dropped = Offered - Processed is the overload loss, also broken
-	// out per shard in DroppedByShard. Selected counts sampler picks.
+	// Offered counts packets the reader read from the source this
+	// window. The reader selects before the fan-out, so only selected
+	// packets travel to the shards: Selected counts those the shards
+	// aggregated, and Dropped counts those shed at the fan-out under
+	// the Drop policy (also broken out per shard in DroppedByShard).
+	// Processed = Offered - Dropped, so Offered == Processed + Dropped,
+	// and Selected + Dropped is the reader's selection for the window.
+	// Under Block, Dropped is 0 and Processed == Offered.
 	Offered        uint64
 	Processed      uint64
 	Selected       uint64
@@ -142,7 +148,6 @@ func (p *Pipeline) merge(bar *barrier, parts []shardPart) *Snapshot {
 	}
 	for i := range parts {
 		part := &parts[i]
-		snap.Processed += part.processed
 		snap.Selected += part.selected
 		snap.Dropped += part.dropped
 		snap.DroppedByShard[part.shard] = part.dropped
@@ -159,6 +164,13 @@ func (p *Pipeline) merge(bar *barrier, parts []shardPart) *Snapshot {
 		snap.ActiveFlows += part.activeFlows
 		snap.TopK = append(snap.TopK, part.topk...)
 	}
+	if snap.Selected+snap.Dropped != bar.selected {
+		// Every selected packet either reached a shard or was counted
+		// as shed; anything else is a pipeline bug, not an input fault.
+		panic(fmt.Sprintf("pipeline: window %d: %d selected + %d dropped != %d selected by the reader",
+			bar.seq, snap.Selected, snap.Dropped, bar.selected))
+	}
+	snap.Processed = bar.offered - snap.Dropped
 	sort.Slice(snap.TopK, func(i, j int) bool {
 		if snap.TopK[i].Count != snap.TopK[j].Count {
 			return snap.TopK[i].Count > snap.TopK[j].Count

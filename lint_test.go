@@ -111,9 +111,14 @@ func TestHotClosureCoversAllocPinnedPaths(t *testing.T) {
 	loader, module, _, _ := lintModule(t)
 	mp := loader.ModulePath
 	wanted := []string{
-		// TestPipelineHotPathAllocs: read → ingest → shard → sample,
-		// per packet.
+		// TestPipelineHotPathAllocs: read → select → ingest → shard,
+		// per packet, for every sampling method.
 		"(*" + mp + "/internal/pipeline.Pipeline).read",
+		"(*" + mp + "/internal/pipeline.selector).take",
+		"(*" + mp + "/internal/online.Systematic).Skip",
+		"(*" + mp + "/internal/online.Stratified).Skip",
+		"(*" + mp + "/internal/online.SystematicTimer).Offer",
+		"(*" + mp + "/internal/online.StratifiedTimer).Offer",
 		"(*" + mp + "/internal/pipeline.Pipeline).ingestWorker",
 		"(*" + mp + "/internal/pipeline.Pipeline).shardWorker",
 		"(*" + mp + "/internal/pipeline.shardState).process",
@@ -134,6 +139,7 @@ func TestHotClosureCoversAllocPinnedPaths(t *testing.T) {
 		// TestMapReaderHotPathAllocs: the zero-copy raw ingest path,
 		// per batch of records.
 		"(*" + mp + "/internal/pipeline.Pipeline).readRaw",
+		"(*" + mp + "/internal/pipeline.Pipeline).sendRawUnit",
 		mp + "/internal/pipeline.DecodeBatch",
 		"(*" + mp + "/internal/trace.MapReader).NextRawBatch",
 		mp + "/internal/trace.DecodeRecords",
