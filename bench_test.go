@@ -26,6 +26,7 @@ import (
 	"netsample/internal/metrics"
 	"netsample/internal/nnstat"
 	"netsample/internal/online"
+	"netsample/internal/packet"
 	"netsample/internal/pipeline"
 	"netsample/internal/snmp"
 	"netsample/internal/stats"
@@ -811,6 +812,63 @@ func BenchmarkTopKAdd(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tk.Add(keys[i%len(keys)], 1)
+	}
+}
+
+// churnWindow is the flood micro-benchmarks' window: every churnWindow
+// ops the state is cut as a shard cuts it at a window barrier.
+const churnWindow = 1 << 16
+
+// churnPacket is the i-th packet of a spoofed flood: a 5-tuple unique
+// within any churnWindow ops.
+func churnPacket(i int) trace.Packet {
+	return trace.Packet{
+		Time: int64(i), Size: 40, Protocol: packet.ProtoTCP,
+		Src:     packet.Addr{byte(i >> 24), byte(i >> 16), byte(i >> 8), byte(i)},
+		Dst:     packet.Addr{192, 0, 2, 1},
+		SrcPort: uint16(i * 7919), DstPort: 80,
+	}
+}
+
+// BenchmarkFlowTableChurn measures the flow table under a flood: every
+// op opens a new flow, and every churnWindow ops the table is cut with
+// the count-only FlushCounts, as the pipeline's shards cut it.
+func BenchmarkFlowTableChurn(b *testing.B) {
+	tab, err := flows.NewTable(15_000_000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%churnWindow == churnWindow-1 {
+			tab.FlushCounts()
+		}
+		p := churnPacket(i)
+		tab.AddTuple(flows.PackTuple(&p), &p)
+	}
+}
+
+// BenchmarkTopKChurn measures the shards' heavy-hitter sketch (packed
+// flow tuples, pipeline.DefaultTopKCapacity counters) under a flood:
+// every op is a key the sketch does not hold, so it evicts the minimum
+// counter, and every churnWindow ops the sketch reports its top entries
+// and resets.
+func BenchmarkTopKChurn(b *testing.B) {
+	sk, err := nnstat.NewSpaceSaving(pipeline.DefaultTopKCapacity, flows.Tuple.Compare)
+	if err != nil {
+		b.Fatal(err)
+	}
+	name := func(k flows.Tuple) string { s := k.Bytes(); return string(s[:]) }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%churnWindow == churnWindow-1 {
+			sk.Top(pipeline.DefaultTopKReport, name)
+			sk.Reset()
+		}
+		p := churnPacket(i)
+		sk.Add(flows.PackTuple(&p), 1)
 	}
 }
 

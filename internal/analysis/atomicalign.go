@@ -104,7 +104,7 @@ func (r *atomicAlignRule) Check(pass *Pass) {
 	}
 	var finds []finding
 	for _, st := range moduleStructs(pkg) {
-		fields := structFields(st)
+		fields := fixedPrefix(structFields(st))
 		offsets := sizes32.Offsetsof(fields)
 		for i, f := range fields {
 			off := offsets[i]
@@ -171,6 +171,38 @@ func structFields(st *types.Struct) []*types.Var {
 		out[i] = st.Field(i)
 	}
 	return out
+}
+
+// fixedPrefix returns the fields laid out before the first field whose
+// size depends on a type parameter. A generic struct has no layout
+// until it is instantiated, and only its fields ahead of the first
+// parameter-typed field have the same offsets in every instantiation.
+func fixedPrefix(fields []*types.Var) []*types.Var {
+	for i, f := range fields {
+		if !hasLayout(f.Type()) {
+			return fields[:i]
+		}
+	}
+	return fields
+}
+
+// hasLayout reports whether t's size and alignment are known without
+// instantiating a type parameter.
+func hasLayout(t types.Type) bool {
+	if _, ok := t.(*types.TypeParam); ok {
+		return false // its Underlying is the constraint's interface
+	}
+	switch u := t.Underlying().(type) {
+	case *types.Array:
+		return hasLayout(u.Elem())
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			if !hasLayout(u.Field(i).Type()) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // structOf unwraps a field type to the struct it places inline, looking

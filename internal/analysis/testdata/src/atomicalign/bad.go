@@ -30,3 +30,15 @@ type slot struct {
 	kind uint32
 	w    window // want `embeds a struct with 64-bit atomic fields at 32-bit offset 4`
 }
+
+// pair is generic: fields after val have no layout until instantiation,
+// but the prefix before it does, and there seq sits at offset 4.
+type pair[T any] struct {
+	tag uint32
+	seq uint64 // want `64-bit atomic field seq is at 32-bit offset 4`
+	val T
+}
+
+func bumpPair[T any](p *pair[T]) {
+	atomic.AddUint64(&p.seq, 1)
+}

@@ -34,3 +34,14 @@ type plain64 struct {
 func total(p *plain64) uint64 {
 	return p.n
 }
+
+// keyed places a type-parameter field first: n's offset differs per
+// instantiation, so it has no layout to check.
+type keyed[K comparable] struct {
+	key K
+	n   uint64
+}
+
+func bumpKeyed[K comparable](k *keyed[K]) {
+	atomic.AddUint64(&k.n, 1)
+}

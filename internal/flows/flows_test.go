@@ -1,9 +1,11 @@
 package flows
 
 import (
+	"bytes"
 	"testing"
 
 	"netsample/internal/core"
+	"netsample/internal/dist"
 	"netsample/internal/packet"
 	"netsample/internal/trace"
 	"netsample/internal/traffgen"
@@ -185,13 +187,120 @@ func TestCountFlows(t *testing.T) {
 	}
 	// Counts merge by field addition: two halves sum to the whole.
 	left, right := CountFlows(fs[:1]), CountFlows(fs[1:])
-	sum := Counts{
-		Flows:      left.Flows + right.Flows,
-		Packets:    left.Packets + right.Packets,
-		Bytes:      left.Bytes + right.Bytes,
-		Singletons: left.Singletons + right.Singletons,
-	}
+	sum := left
+	sum.Add(right)
 	if sum != want {
 		t.Errorf("split counts sum to %+v, want %+v", sum, want)
+	}
+}
+
+// churnStream is a time-ordered stream over keys tuples whose per-key
+// gaps straddle timeout, so flows both continue and expire (reusing
+// their slot) within one window.
+func churnStream(seed uint64, n, keys int, timeout int64) []trace.Packet {
+	r := dist.NewRNG(seed)
+	out := make([]trace.Packet, n)
+	var now int64
+	for i := range out {
+		now += r.Int64N(timeout / 4)
+		k := r.IntN(keys)
+		out[i] = trace.Packet{
+			Time: now, Size: uint16(40 + r.IntN(1460)), Protocol: packet.ProtoUDP,
+			Src: packet.Addr{10, 0, byte(k >> 8), byte(k)}, Dst: packet.Addr{20, 0, 0, byte(k % 3)},
+			SrcPort: uint16(k), DstPort: 53,
+		}
+	}
+	return out
+}
+
+// TestFlushCountsMatchesFlush pins the count-only cut to the sorted
+// flush: on the same input, window after window of one reused table,
+// FlushCounts equals CountFlows(Flush()) — through idle-timeout expiry
+// and slot reuse.
+func TestFlushCountsMatchesFlush(t *testing.T) {
+	const timeout = 10_000
+	const keys = 16
+	pkts := churnStream(5, 40_000, keys, timeout)
+	counted, _ := NewTable(timeout)
+	flushed, _ := NewTable(timeout)
+	var expired, continued bool
+	for w := 0; w < 8; w++ {
+		win := pkts[w*5000 : (w+1)*5000]
+		for _, p := range win {
+			counted.Add(p)
+			flushed.Add(p)
+		}
+		if counted.ActiveCount() != flushed.ActiveCount() {
+			t.Fatalf("window %d: active %d vs %d", w, counted.ActiveCount(), flushed.ActiveCount())
+		}
+		fs := flushed.Flush()
+		got, want := counted.FlushCounts(), CountFlows(fs)
+		if got != want {
+			t.Fatalf("window %d: FlushCounts = %+v, CountFlows(Flush()) = %+v", w, got, want)
+		}
+		if want.Packets != uint64(len(win)) {
+			t.Fatalf("window %d: %d packets in flows, %d offered", w, want.Packets, len(win))
+		}
+		expired = expired || want.Flows > keys // some key's flow expired and reopened
+		continued = continued || want.Packets > want.Flows
+		if counted.ActiveCount() != 0 || flushed.ActiveCount() != 0 {
+			t.Fatalf("window %d: flush left active flows", w)
+		}
+	}
+	if !expired || !continued {
+		t.Fatalf("stream expired flows: %v, continued flows: %v; the test needs both", expired, continued)
+	}
+}
+
+// TestTableReuseStartsEmpty checks a flushed table carries nothing into
+// the next window: a packet of a flow open at the flush, well within
+// the idle timeout, opens a fresh flow.
+func TestTableReuseStartsEmpty(t *testing.T) {
+	tab, err := NewTable(1_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab.Add(pkt(0, 1024, 100))
+	tab.Add(pkt(10, 1025, 100))
+	tab.Add(pkt(20, 1024, 100))
+	if c := tab.FlushCounts(); c != (Counts{Flows: 2, Packets: 3, Bytes: 300, Singletons: 1}) {
+		t.Fatalf("first window counts %+v", c)
+	}
+	tab.Add(pkt(30, 1024, 200))
+	fs := tab.Flush()
+	if len(fs) != 1 || fs[0].Packets != 1 || fs[0].Bytes != 200 || fs[0].FirstUS != 30 {
+		t.Fatalf("second window flows %+v, want one fresh flow", fs)
+	}
+}
+
+// TestTupleSpelling pins the packed tuple to the 13-byte heavy-hitter
+// key spelling (source, destination, little-endian ports, protocol) and
+// Compare to the byte order of that spelling.
+func TestTupleSpelling(t *testing.T) {
+	r := dist.NewRNG(9)
+	var prev [TupleLen]byte
+	var prevT Tuple
+	for i := 0; i < 2000; i++ {
+		p := trace.Packet{
+			Src:     packet.Addr{byte(r.IntN(3)), byte(r.IntN(256)), byte(r.IntN(256)), byte(r.IntN(256))},
+			Dst:     packet.Addr{byte(r.IntN(3)), byte(r.IntN(256)), byte(r.IntN(256)), byte(r.IntN(256))},
+			SrcPort: uint16(r.IntN(3)), DstPort: uint16(r.IntN(65536)), Protocol: packet.Protocol(r.IntN(256)),
+		}
+		k := PackTuple(&p)
+		want := [TupleLen]byte{
+			p.Src[0], p.Src[1], p.Src[2], p.Src[3], p.Dst[0], p.Dst[1], p.Dst[2], p.Dst[3],
+			byte(p.SrcPort), byte(p.SrcPort >> 8), byte(p.DstPort), byte(p.DstPort >> 8), byte(p.Protocol),
+		}
+		got := k.Bytes()
+		if got != want {
+			t.Fatalf("Bytes = %v, want %v", got, want)
+		}
+		if c, w := k.Compare(prevT), bytes.Compare(got[:], prev[:]); c != w {
+			t.Fatalf("Compare(%v, %v) = %d, byte order says %d", got, prev, c, w)
+		}
+		if k.Compare(k) != 0 {
+			t.Fatal("tuple does not compare equal to itself")
+		}
+		prev, prevT = got, k
 	}
 }

@@ -10,123 +10,50 @@
 package nnstat
 
 import (
-	"container/heap"
 	"errors"
-	"sort"
+	"strings"
 )
 
 // TopK is a Space-Saving heavy-hitter sketch over string keys.
 type TopK struct {
-	capacity int
-	entries  map[string]*tkEntry
-	h        tkHeap
-	total    uint64
+	s SpaceSaving[string]
 }
 
-type tkEntry struct {
-	key     string
-	count   uint64
-	overcnt uint64 // upper bound on the overestimate
-	heapIdx int
-}
-
-// tkHeap is a min-heap over counts.
-type tkHeap []*tkEntry
-
-func (h tkHeap) Len() int            { return len(h) }
-func (h tkHeap) Less(i, j int) bool  { return h[i].count < h[j].count }
-func (h tkHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i]; h[i].heapIdx = i; h[j].heapIdx = j }
-func (h *tkHeap) Push(x interface{}) { e := x.(*tkEntry); e.heapIdx = len(*h); *h = append(*h, e) }
-func (h *tkHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
-}
-
-// ErrBadCapacity reports a non-positive sketch capacity.
-var ErrBadCapacity = errors.New("nnstat: capacity must be positive")
+// ErrBadCapacity reports a sketch capacity outside [1, MaxInt32].
+var ErrBadCapacity = errors.New("nnstat: capacity must be in [1, MaxInt32]")
 
 // NewTopK builds a sketch holding at most capacity counters.
 func NewTopK(capacity int) (*TopK, error) {
-	if capacity < 1 {
-		return nil, ErrBadCapacity
+	t := new(TopK)
+	if err := t.s.init(capacity, strings.Compare); err != nil {
+		return nil, err
 	}
-	return &TopK{
-		capacity: capacity,
-		entries:  make(map[string]*tkEntry, capacity),
-	}, nil
+	return t, nil
 }
 
 // Add accounts weight occurrences of key.
-func (t *TopK) Add(key string, weight uint64) {
-	t.total += weight
-	if e, ok := t.entries[key]; ok {
-		e.count += weight
-		heap.Fix(&t.h, e.heapIdx)
-		return
-	}
-	if len(t.entries) < t.capacity {
-		e := &tkEntry{key: key, count: weight}
-		t.entries[key] = e
-		heap.Push(&t.h, e)
-		return
-	}
-	// Evict the minimum counter: the newcomer inherits its count as the
-	// classic Space-Saving overestimate bound.
-	min := t.h[0]
-	delete(t.entries, min.key)
-	e := &tkEntry{key: key, count: min.count + weight, overcnt: min.count, heapIdx: 0}
-	t.entries[key] = e
-	t.h[0] = e
-	heap.Fix(&t.h, 0)
-}
+func (t *TopK) Add(key string, weight uint64) { t.s.Add(key, weight) }
 
 // AddBytes accounts weight occurrences of the key spelled as raw
-// bytes. It is the streaming hot-path form of Add: the map lookup uses
-// Go's allocation-free []byte→string conversion, so accounting a key
-// already in the sketch allocates nothing; the key string is only
-// materialized when a new counter is created or the minimum counter is
-// evicted. The caller may reuse key's backing array across calls.
+// bytes. The map lookup uses Go's allocation-free []byte→string
+// conversion, so accounting a key already in the sketch allocates
+// nothing; the key string is only materialized when a counter is
+// created or the minimum counter is evicted. The caller may reuse
+// key's backing array across calls.
 func (t *TopK) AddBytes(key []byte, weight uint64) {
-	t.total += weight
-	if e, ok := t.entries[string(key)]; ok {
-		e.count += weight
-		heap.Fix(&t.h, e.heapIdx)
+	if i, ok := t.s.slots[string(key)]; ok {
+		t.s.bump(i, weight)
 		return
 	}
-	if len(t.entries) < t.capacity {
-		//nslint:allow hotalloc fill branch: runs at most capacity times per window, then never again
-		e := &tkEntry{key: string(key), count: weight}
-		//nslint:allow hotalloc fill branch: bounded by capacity, not by packets
-		t.entries[e.key] = e
-		heap.Push(&t.h, e)
-		return
-	}
-	min := t.h[0]
-	delete(t.entries, min.key)
-	//nslint:allow hotalloc evict branch: one entry and one key copy per evicted counter, the sketch's amortized miss cost (hits are pinned alloc-free by TestAddBytesDoesNotAllocOnHit)
-	e := &tkEntry{key: string(key), count: min.count + weight, overcnt: min.count, heapIdx: 0}
-	//nslint:allow hotalloc evict branch: rewrites a deleted slot; the table never grows past capacity
-	t.entries[e.key] = e
-	t.h[0] = e
-	heap.Fix(&t.h, 0)
+	t.s.insert(string(key), weight)
 }
 
-// Reset empties the sketch for reuse, keeping its capacity. The counter
-// map and heap storage are retained, so windowed use (reset per window)
-// does not reallocate.
-func (t *TopK) Reset() {
-	for k := range t.entries {
-		delete(t.entries, k)
-	}
-	t.h = t.h[:0]
-	t.total = 0
-}
+// Reset empties the sketch for reuse, keeping its capacity and storage,
+// so windowed use (reset per window) does not reallocate.
+func (t *TopK) Reset() { t.s.Reset() }
 
 // Total returns the stream weight seen.
-func (t *TopK) Total() uint64 { return t.total }
+func (t *TopK) Total() uint64 { return t.s.total }
 
 // Entry is one reported heavy hitter.
 type Entry struct {
@@ -140,28 +67,15 @@ type Entry struct {
 
 // Top returns up to n entries by descending estimated count (ties by
 // key for determinism).
-func (t *TopK) Top(n int) []Entry {
-	out := make([]Entry, 0, len(t.entries))
-	for _, e := range t.entries {
-		out = append(out, Entry{Key: e.key, Count: e.count, MaxError: e.overcnt})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Key < out[j].Key
-	})
-	if n < len(out) {
-		out = out[:n]
-	}
-	return out
-}
+func (t *TopK) Top(n int) []Entry { return t.s.Top(n, keyName) }
+
+func keyName(k string) string { return k }
 
 // GuaranteedTop returns the entries whose lower bound (Count-MaxError)
 // exceeds every other entry's upper bound rank-wise — the keys certain
 // to be true heavy hitters.
 func (t *TopK) GuaranteedTop(n int) []Entry {
-	all := t.Top(len(t.entries))
+	all := t.Top(len(t.s.ent))
 	var out []Entry
 	for i, e := range all {
 		if len(out) == n {

@@ -1,7 +1,9 @@
 package nnstat
 
 import (
+	"container/heap"
 	"fmt"
+	"sort"
 	"testing"
 
 	"netsample/internal/dist"
@@ -223,4 +225,189 @@ func TestTopKReset(t *testing.T) {
 	if len(top) != 1 || top[0].Key != "after" || top[0].Count != 3 || top[0].MaxError != 0 {
 		t.Errorf("post-Reset accounting wrong: %+v", top)
 	}
+}
+
+// refTopK is the original container/heap Space-Saving sketch, kept
+// verbatim as the reference the slab sketch must match step for step:
+// the same counters must survive every eviction, so every reported
+// entry is the same.
+type refTopK struct {
+	capacity int
+	entries  map[string]*refEntry
+	h        refHeap
+}
+
+type refEntry struct {
+	key     string
+	count   uint64
+	overcnt uint64
+	heapIdx int
+}
+
+type refHeap []*refEntry
+
+func (h refHeap) Len() int            { return len(h) }
+func (h refHeap) Less(i, j int) bool  { return h[i].count < h[j].count }
+func (h refHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i]; h[i].heapIdx = i; h[j].heapIdx = j }
+func (h *refHeap) Push(x interface{}) { e := x.(*refEntry); e.heapIdx = len(*h); *h = append(*h, e) }
+func (h *refHeap) Pop() interface{} {
+	old := *h
+	n := len(old)
+	e := old[n-1]
+	*h = old[:n-1]
+	return e
+}
+
+func newRefTopK(capacity int) *refTopK {
+	return &refTopK{capacity: capacity, entries: make(map[string]*refEntry, capacity)}
+}
+
+func (t *refTopK) Add(key string, weight uint64) {
+	if e, ok := t.entries[key]; ok {
+		e.count += weight
+		heap.Fix(&t.h, e.heapIdx)
+		return
+	}
+	if len(t.entries) < t.capacity {
+		e := &refEntry{key: key, count: weight}
+		t.entries[key] = e
+		heap.Push(&t.h, e)
+		return
+	}
+	min := t.h[0]
+	delete(t.entries, min.key)
+	e := &refEntry{key: key, count: min.count + weight, overcnt: min.count, heapIdx: 0}
+	t.entries[key] = e
+	t.h[0] = e
+	heap.Fix(&t.h, 0)
+}
+
+func (t *refTopK) Reset() {
+	t.entries = make(map[string]*refEntry, t.capacity)
+	t.h = t.h[:0]
+}
+
+func (t *refTopK) Top(n int) []Entry {
+	out := make([]Entry, 0, len(t.entries))
+	for _, e := range t.entries {
+		out = append(out, Entry{Key: e.key, Count: e.count, MaxError: e.overcnt})
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Count != out[j].Count {
+			return out[i].Count > out[j].Count
+		}
+		return out[i].Key < out[j].Key
+	})
+	if n < len(out) {
+		out = out[:n]
+	}
+	return out
+}
+
+// topkOp is one step of a differential stream: an add, or (reset) a
+// window end at which both sketches are compared and reset.
+type topkOp struct {
+	key    string
+	weight uint64
+	reset  bool
+}
+
+// checkAgainstReference runs ops through TopK (alternating Add and
+// AddBytes) and the reference, and compares every entry after each
+// window.
+func checkAgainstReference(t *testing.T, capacity int, ops []topkOp) {
+	t.Helper()
+	got, err := NewTopK(capacity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := newRefTopK(capacity)
+	window := 0
+	compare := func() {
+		g, w := got.Top(capacity), want.Top(capacity)
+		if len(g) != len(w) {
+			t.Fatalf("window %d: %d entries, reference %d", window, len(g), len(w))
+		}
+		for i := range g {
+			if g[i] != w[i] {
+				t.Fatalf("window %d entry %d: %+v, reference %+v", window, i, g[i], w[i])
+			}
+		}
+	}
+	for i, op := range ops {
+		if op.reset {
+			compare()
+			got.Reset()
+			want.Reset()
+			window++
+			continue
+		}
+		if i%2 == 0 {
+			got.Add(op.key, op.weight)
+		} else {
+			got.AddBytes([]byte(op.key), op.weight)
+		}
+		want.Add(op.key, op.weight)
+	}
+	compare()
+}
+
+// TestTopKMatchesReference pins the slab sketch to the container/heap
+// original on skewed keys, an all-unique flood, weighted adds and
+// windowed reuse.
+func TestTopKMatchesReference(t *testing.T) {
+	r := dist.NewRNG(13)
+	streams := map[string]func(i int) topkOp{
+		"skewed": func(int) topkOp {
+			if r.Float64() < 0.5 {
+				return topkOp{key: fmt.Sprintf("h%d", r.IntN(4)), weight: 1}
+			}
+			return topkOp{key: fmt.Sprintf("t%d", r.IntN(3000)), weight: 1}
+		},
+		"flood": func(i int) topkOp {
+			return topkOp{key: fmt.Sprintf("u%d", i), weight: 1}
+		},
+		"weighted": func(int) topkOp {
+			return topkOp{key: fmt.Sprintf("w%d", r.IntN(200)), weight: uint64(1 + r.IntN(1500))}
+		},
+	}
+	for name, next := range streams {
+		for _, capacity := range []int{1, 2, 7, 64} {
+			t.Run(fmt.Sprintf("%s/cap=%d", name, capacity), func(t *testing.T) {
+				var ops []topkOp
+				for i := 0; i < 20_000; i++ {
+					if i > 0 && i%5000 == 0 {
+						ops = append(ops, topkOp{reset: true})
+					}
+					ops = append(ops, next(i))
+				}
+				checkAgainstReference(t, capacity, ops)
+			})
+		}
+	}
+}
+
+// FuzzTopKMatchesReference drives both sketches with fuzzed streams:
+// the first byte picks the capacity, then each byte pair is a key from
+// a small alphabet (so keys collide and counters are evicted) and a
+// weight, with weight byte 0 ending a window.
+func FuzzTopKMatchesReference(f *testing.F) {
+	f.Add([]byte{4, 1, 1, 2, 1, 3, 1, 1, 5, 0, 0, 9, 1})
+	f.Add([]byte{1, 7, 1, 7, 1, 8, 2, 9, 3, 7, 0, 8, 1})
+	f.Add([]byte{16, 0, 1, 1, 1, 2, 1, 3, 1, 4, 1, 5, 1, 6, 1, 7, 1, 8, 1, 9, 1, 10, 1, 11, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		capacity := 1 + int(data[0]%32)
+		var ops []topkOp
+		for i := 1; i+1 < len(data); i += 2 {
+			if data[i+1] == 0 {
+				ops = append(ops, topkOp{reset: true})
+				continue
+			}
+			ops = append(ops, topkOp{key: string(rune('a' + data[i]%40)), weight: uint64(data[i+1])})
+		}
+		checkAgainstReference(t, capacity, ops)
+	})
 }

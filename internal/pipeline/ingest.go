@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"sync/atomic"
 
+	"netsample/internal/flows"
 	"netsample/internal/packet"
 	"netsample/internal/trace"
 )
@@ -263,17 +264,16 @@ func DecodeBatch(dst []trace.Packet, shards []uint8, gaps []int64, raw []byte, p
 
 // shardIndex assigns a packet to one of n shards by hashing its
 // 5-tuple (addresses, ports, protocol), so a flow's packets always
-// land on one shard. The tuple packs into two words hashed by
-// tupleHash; the raw-path kernel loads the same two words straight out
-// of the record bytes, so both ingest paths agree bit for bit.
+// land on one shard. The tuple packs into two words (flows.PackTuple)
+// hashed by tupleHash; the raw-path kernel loads the same two words
+// straight out of the record bytes, so both ingest paths agree bit for
+// bit.
 func shardIndex(pkt *trace.Packet, n int) int {
 	if n == 1 {
 		return 0
 	}
-	w1 := uint64(pkt.Src[0]) | uint64(pkt.Src[1])<<8 | uint64(pkt.Src[2])<<16 | uint64(pkt.Src[3])<<24 |
-		uint64(pkt.Dst[0])<<32 | uint64(pkt.Dst[1])<<40 | uint64(pkt.Dst[2])<<48 | uint64(pkt.Dst[3])<<56
-	w2 := uint64(pkt.SrcPort) | uint64(pkt.DstPort)<<16 | uint64(uint8(pkt.Protocol))<<32
-	return int(tupleHash(w1, w2) % uint32(n))
+	k := flows.PackTuple(pkt)
+	return int(tupleHash(k[0], k[1]) % uint32(n))
 }
 
 // tupleHash mixes the two packed 5-tuple words into a well-distributed

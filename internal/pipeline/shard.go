@@ -66,9 +66,8 @@ type shardState struct {
 	sizeCounts []float64
 	iatCounts  []float64
 	flowTab    *flows.Table
-	topk       *nnstat.TopK
+	topk       *nnstat.SpaceSaving[flows.Tuple]
 	topkReport int
-	keyBuf     [13]byte
 	selected   uint64
 	dropped    uint64 // drop deltas accumulated from ring messages this window
 }
@@ -81,7 +80,7 @@ func newShardState(id int, cfg *Config, sizeLUT []uint8) (*shardState, error) {
 	if err != nil {
 		return nil, err
 	}
-	topk, err := nnstat.NewTopK(cfg.TopKCapacity)
+	topk, err := nnstat.NewSpaceSaving(cfg.TopKCapacity, flows.Tuple.Compare)
 	if err != nil {
 		return nil, err
 	}
@@ -238,20 +237,15 @@ func (st *shardState) process(it *item) {
 			st.iatCounts[st.iatScheme.Index(float64(it.gapUS))]++
 		}
 	}
-	st.flowTab.Add(it.pkt)
-	k := &st.keyBuf
-	copy(k[0:4], it.pkt.Src[:])
-	copy(k[4:8], it.pkt.Dst[:])
-	k[8] = byte(it.pkt.SrcPort)
-	k[9] = byte(it.pkt.SrcPort >> 8)
-	k[10] = byte(it.pkt.DstPort)
-	k[11] = byte(it.pkt.DstPort >> 8)
-	k[12] = byte(it.pkt.Protocol)
-	st.topk.AddBytes(k[:], 1)
+	k := flows.PackTuple(&it.pkt)
+	st.flowTab.AddTuple(k, &it.pkt)
+	st.topk.Add(k, 1)
 }
 
 // cut snapshots the shard's window-local aggregates into a shardPart
-// and resets them for the next window.
+// and resets them for the next window. Flows are only counted, never
+// sorted or copied, and only the reported heavy hitters' keys are
+// spelled as strings.
 //
 //nslint:coldpath runs once per window cut; its copies amortize over the window's packets
 func (st *shardState) cut() shardPart {
@@ -262,18 +256,18 @@ func (st *shardState) cut() shardPart {
 		sizeCounts:  append([]float64(nil), st.sizeCounts...),
 		iatCounts:   append([]float64(nil), st.iatCounts...),
 		activeFlows: st.flowTab.ActiveCount(),
-		topk:        st.topk.Top(st.topkReport),
+		flows:       st.flowTab.FlushCounts(),
+		topk:        st.topk.Top(st.topkReport, tupleKey),
 	}
-	part.flows = flows.CountFlows(st.flowTab.Flush())
 	st.selected, st.dropped = 0, 0
-	clearFloats(st.sizeCounts)
-	clearFloats(st.iatCounts)
+	clear(st.sizeCounts)
+	clear(st.iatCounts)
 	st.topk.Reset()
 	return part
 }
 
-func clearFloats(s []float64) {
-	for i := range s {
-		s[i] = 0
-	}
+// tupleKey spells a heavy hitter's flow key in the snapshot format.
+func tupleKey(k flows.Tuple) string {
+	b := k.Bytes()
+	return string(b[:])
 }

@@ -157,10 +157,7 @@ func (p *Pipeline) merge(bar *barrier, parts []shardPart) *Snapshot {
 		for b, c := range part.iatCounts {
 			snap.IatCounts[b] += c
 		}
-		snap.Flows.Flows += part.flows.Flows
-		snap.Flows.Packets += part.flows.Packets
-		snap.Flows.Bytes += part.flows.Bytes
-		snap.Flows.Singletons += part.flows.Singletons
+		snap.Flows.Add(part.flows)
 		snap.ActiveFlows += part.activeFlows
 		snap.TopK = append(snap.TopK, part.topk...)
 	}

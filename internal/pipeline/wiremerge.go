@@ -82,10 +82,7 @@ func MergeWire(snaps []*collect.Snapshot, topk int) (*collect.Snapshot, error) {
 		for b, c := range s.IatCounts {
 			out.IatCounts[b] += c
 		}
-		out.FlowCounts.Flows += s.FlowCounts.Flows
-		out.FlowCounts.Packets += s.FlowCounts.Packets
-		out.FlowCounts.Bytes += s.FlowCounts.Bytes
-		out.FlowCounts.Singletons += s.FlowCounts.Singletons
+		out.FlowCounts.Add(s.FlowCounts)
 		out.ActiveFlows += s.ActiveFlows
 		for _, e := range s.TopK {
 			if have, ok := byKey[e.Key]; ok {

@@ -124,7 +124,10 @@ func TestHotClosureCoversAllocPinnedPaths(t *testing.T) {
 		"(*" + mp + "/internal/pipeline.shardState).process",
 		mp + "/internal/pipeline.shardIndex",
 		"(*" + mp + "/internal/flows.Table).Add",
-		"(*" + mp + "/internal/nnstat.TopK).AddBytes",
+		"(*" + mp + "/internal/flows.Table).AddTuple",
+		mp + "/internal/flows.PackTuple",
+		"(*" + mp + "/internal/nnstat.SpaceSaving[K]).Add",
+		"(*" + mp + "/internal/nnstat.SpaceSaving[K]).insert",
 		"(*" + mp + "/internal/online.Systematic).Offer",
 		"(*" + mp + "/internal/online.Stratified).Offer",
 		"(*" + mp + "/internal/bins.Edged).Index",
